@@ -30,9 +30,18 @@ const (
 	fnSeq  = 0x0C02
 )
 
-// seqPayloadLen is the fixed wire size of one sequence frame: source
-// node (2), worker (2), sequence number (4), little endian.
+// seqPayloadLen is the head of every sequence frame: source node (2),
+// worker (2), sequence number (4), little endian.
 const seqPayloadLen = 8
+
+// seqLen is the payload size of sequence frame no: the head plus filler
+// that cycles the wire size through 28, 128, 228 and 328 bytes.  The tcp
+// transport's eager/rendezvous threshold moves within [64, 256], so one
+// numbered stream always has frames on both lanes — which is what lets the
+// conservation checker see a reordering or loss between the lanes, or
+// across a redial of either.  The size is a function of the number alone:
+// it draws nothing from the plan's random stream.
+func seqLen(no uint32) int { return seqPayloadLen + int(no%4)*100 }
 
 // plugWorkloadDevices builds and plugs the chaos devices on one node.
 func plugWorkloadDevices(c *Cluster, n *Node) {
@@ -76,6 +85,12 @@ func plugWorkloadDevices(c *Cluster, n *Node) {
 		src := binary.LittleEndian.Uint16(m.Payload[0:2])
 		worker := binary.LittleEndian.Uint16(m.Payload[2:4])
 		no := binary.LittleEndian.Uint32(m.Payload[4:8])
+		if fill := m.Payload[seqPayloadLen:]; len(m.Payload) != seqLen(no) ||
+			bytes.Count(fill, []byte{byte(no)}) != len(fill) {
+			c.violate("node %d: seq frame %d from node %d worker %d corrupted (%d-byte payload)",
+				n.ID, no, src, worker, len(m.Payload))
+			return nil
+		}
 		key := uint32(src)<<16 | uint32(worker)
 		n.recvMu.Lock()
 		n.recv[key] = append(n.recv[key], no)
@@ -127,15 +142,18 @@ func (c *Cluster) stormWorker(n *Node, w int, deadline time.Time) {
 // frame entered the fabric (it may still be dropped by an armed fault:
 // that is exactly the loss the conservation checker accounts for).
 func (c *Cluster) sendSeq(n *Node, w int, dst i2o.NodeID) {
-	m, err := n.Exec.AllocMessage(seqPayloadLen)
+	no := n.nextSeq[w][dst] + 1
+	m, err := n.Exec.AllocMessage(seqLen(no))
 	if err != nil {
 		c.violate("node %d: alloc seq frame: %v", n.ID, err)
 		return
 	}
-	no := n.nextSeq[w][dst] + 1
 	binary.LittleEndian.PutUint16(m.Payload[0:2], uint16(n.ID))
 	binary.LittleEndian.PutUint16(m.Payload[2:4], uint16(w))
 	binary.LittleEndian.PutUint32(m.Payload[4:8], no)
+	for i := seqPayloadLen; i < len(m.Payload); i++ {
+		m.Payload[i] = byte(no)
+	}
 	m.Target = n.seqTID[dst]
 	m.Initiator = i2o.TIDExecutive
 	m.XFunction = fnSeq

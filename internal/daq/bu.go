@@ -470,7 +470,9 @@ func (b *BU) handleAllocateReply(ctx *device.Context, m *i2o.Message) error {
 }
 
 // scheduleLocked arms a retry timer.  The callback runs with the lock
-// held, only while the same run is still live.
+// held, only while the same run is still live.  A pending timer counts
+// against the pipeline, so its expiry re-pumps: when retries outnumber the
+// pipeline at the last write ack, nothing else is left in flight to do it.
 func (b *BU) scheduleLocked(f func(ctx *device.Context)) {
 	b.timersOut++
 	gen := b.runGen.Load()
@@ -485,6 +487,7 @@ func (b *BU) scheduleLocked(f func(ctx *device.Context)) {
 			return
 		}
 		f(b.runCtx)
+		b.pumpLocked(b.runCtx)
 		b.maybeFinishLocked()
 	})
 }

@@ -1,9 +1,13 @@
 package daq
 
 import (
+	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 
+	"xdaq/internal/chain"
+	"xdaq/internal/device"
 	"xdaq/internal/executive"
 	"xdaq/internal/i2o"
 	"xdaq/internal/pta"
@@ -14,10 +18,11 @@ import (
 // storageRig is the full chain under test: EVM on node 1, RUs next,
 // one BU, then the storage writers, all over loopback.
 type storageRig struct {
-	dir string
-	evm *EVM
-	bu  *BU
-	sws []*storage.SW
+	dir    string
+	evm    *EVM
+	bu     *BU
+	buExec *executive.Executive
+	sws    []*storage.SW
 }
 
 func buildStorageRig(t *testing.T, nRU, nSW int, events uint64, fragSize int, opts storage.Options) *storageRig {
@@ -89,6 +94,7 @@ func buildStorageRig(t *testing.T, nRU, nSW int, events uint64, fragSize int, op
 
 	r.bu = NewBU(0)
 	buExec := execs[buNode]
+	r.buExec = buExec
 	if _, err := buExec.Plug(r.bu.Device()); err != nil {
 		t.Fatal(err)
 	}
@@ -201,5 +207,77 @@ func TestBUStorageBackpressure(t *testing.T) {
 	}
 	if len(recs) != events {
 		t.Fatalf("store holds %d events, want %d", len(recs), events)
+	}
+}
+
+// TestBUStorageRetryTimersOutnumberPipeline is the regression test for
+// the builder wedge: a pending AckFull retry timer counts against the
+// pipeline, so when the write ack that drains the window arrives while such
+// timers are at or above the pipeline, the ack cannot pump — and the
+// expiring timer has to, or the run sits forever with nothing in flight.
+// The writer here stores every event on its second attempt but nacks that
+// attempt AckFull first (what a sweep resend racing the original looks
+// like), so every event leaves one timer behind its own stored ack.
+func TestBUStorageRetryTimersOutnumberPipeline(t *testing.T) {
+	const events = 6
+	r := buildStorageRig(t, 1, 0, events, 64, storage.Options{})
+
+	var (
+		mu       sync.Mutex
+		attempts = map[uint64]int{}
+		sw       = device.New(storage.ClassSW, 0)
+	)
+	reasm := chain.NewReassembler(r.buExec.Allocator(), func(tr *chain.Transfer) error {
+		defer tr.Data.Release()
+		var id [8]byte
+		if _, err := tr.Data.CopyTo(0, id[:]); err != nil {
+			return err
+		}
+		event := binary.LittleEndian.Uint64(id[:])
+		mu.Lock()
+		attempts[event]++
+		n := attempts[event]
+		mu.Unlock()
+		acks := []uint32{storage.AckFull}
+		if n >= 2 {
+			acks = []uint32{storage.AckFull, storage.AckStored}
+		}
+		ctx, err := sw.Ctx()
+		if err != nil {
+			return err
+		}
+		for _, status := range acks {
+			if err := ctx.Host.Send(&i2o.Message{
+				Priority: i2o.PriorityHigh, Target: tr.Initiator, Initiator: sw.TID(),
+				Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ, XFunction: storage.XFuncWriteAck,
+				Payload: storage.WriteAck{Event: event, Status: status}.Encode(nil),
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	sw.Bind(storage.XFuncWrite, reasm.Handler)
+	swTID, err := r.buExec.Plug(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.bu.SetStorage([]i2o.TID{swTID}, 1)
+
+	done, err := r.bu.Start(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run wedged: %+v", r.bu.Stats())
+	}
+	stats, err := r.bu.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Built != events || stats.Stored != events {
+		t.Fatalf("built=%d stored=%d, want %d/%d", stats.Built, stats.Stored, events, events)
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // The daq.* gauges mirror each device's atomic counters into the host
 // executive's metrics registry, so `xdaqctl metrics <node>` (and the
-// soak harness) can watch a run without touching device APIs.  One
-// device class per node is the deployed shape; when a test packs
-// several instances of a class onto one executive, the last one plugged
-// owns the names.
+// soak harness) can watch a run without touching device APIs.  A node
+// can carry several readout, builder or filter units, so their names read
+// the sum over every instance plugged into the node; there is one event
+// manager per cluster, and it owns its names outright.
 
 // hostMetrics pulls the registry off hosts that carry one (the
 // executive does; bare test fakes need not).
@@ -34,36 +34,48 @@ func registerEVMMetrics(ctx *device.Context, e *EVM) {
 	reg.Func("daq.evm.shard.version", func() int64 { return int64(e.ShardVersion()) })
 }
 
-func registerRUMetrics(ctx *device.Context, r *RU) {
+// nodeGauges publishes a device's counters as terms of its class's
+// node-wide gauges; the terms leave with the device when it is unplugged.
+func nodeGauges(ctx *device.Context, dev *device.Device, gauges map[string]func() int64) {
 	reg := hostMetrics(ctx)
 	if reg == nil {
 		return
 	}
-	reg.Func("daq.ru.served", func() int64 { return int64(r.Served()) })
-	reg.Func("daq.ru.stale", func() int64 { return int64(r.Stale()) })
-	reg.Func("daq.ru.refused", func() int64 { return int64(r.Refused()) })
+	removes := make([]func(), 0, len(gauges))
+	for name, fn := range gauges {
+		removes = append(removes, reg.AddFunc(name, fn))
+	}
+	dev.OnUnplugged = func() {
+		for _, remove := range removes {
+			remove()
+		}
+	}
+}
+
+func registerRUMetrics(ctx *device.Context, r *RU) {
+	nodeGauges(ctx, r.dev, map[string]func() int64{
+		"daq.ru.served":  func() int64 { return int64(r.Served()) },
+		"daq.ru.stale":   func() int64 { return int64(r.Stale()) },
+		"daq.ru.refused": func() int64 { return int64(r.Refused()) },
+	})
 }
 
 func registerBUMetrics(ctx *device.Context, b *BU) {
-	reg := hostMetrics(ctx)
-	if reg == nil {
-		return
-	}
-	reg.Func("daq.bu.built", func() int64 { return int64(b.built.Load()) })
-	reg.Func("daq.bu.bytes", func() int64 { return int64(b.bytes.Load()) })
-	reg.Func("daq.bu.corrupt", func() int64 { return int64(b.corrupt.Load()) })
-	reg.Func("daq.bu.stale", func() int64 { return int64(b.stale.Load()) })
-	reg.Func("daq.bu.lost", func() int64 { return int64(b.lost.Load()) })
-	reg.Func("daq.bu.stored", func() int64 { return int64(b.stored.Load()) })
-	reg.Func("daq.bu.write.stalls", func() int64 { return int64(b.wstalls.Load()) })
+	nodeGauges(ctx, b.dev, map[string]func() int64{
+		"daq.bu.built":        func() int64 { return int64(b.built.Load()) },
+		"daq.bu.bytes":        func() int64 { return int64(b.bytes.Load()) },
+		"daq.bu.corrupt":      func() int64 { return int64(b.corrupt.Load()) },
+		"daq.bu.stale":        func() int64 { return int64(b.stale.Load()) },
+		"daq.bu.lost":         func() int64 { return int64(b.lost.Load()) },
+		"daq.bu.stored":       func() int64 { return int64(b.stored.Load()) },
+		"daq.bu.write.stalls": func() int64 { return int64(b.wstalls.Load()) },
+	})
 }
 
 func registerFUMetrics(ctx *device.Context, f *FU) {
-	reg := hostMetrics(ctx)
-	if reg == nil {
-		return
-	}
-	reg.Func("daq.fu.accepted", func() int64 { return int64(f.Accepted()) })
-	reg.Func("daq.fu.rejected", func() int64 { return int64(f.Rejected()) })
-	reg.Func("daq.fu.bytes", func() int64 { return int64(f.Bytes()) })
+	nodeGauges(ctx, f.dev, map[string]func() int64{
+		"daq.fu.accepted": func() int64 { return int64(f.Accepted()) },
+		"daq.fu.rejected": func() int64 { return int64(f.Rejected()) },
+		"daq.fu.bytes":    func() int64 { return int64(f.Bytes()) },
+	})
 }

@@ -163,7 +163,7 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 			return bucketBound(i)
 		}
 	}
-	return 2 * bucketBound(numBuckets - 1)
+	return 2 * bucketBound(numBuckets-1)
 }
 
 // Mean returns the mean observed duration in nanoseconds.
@@ -204,7 +204,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	funcs    map[string]func() int64
+	funcs    map[string][]*func() int64 // a sampled gauge reads the sum of its terms
 	histos   map[string]*Histogram
 }
 
@@ -253,9 +253,38 @@ func (r *Registry) Func(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.funcs == nil {
-		r.funcs = make(map[string]func() int64)
+		r.funcs = make(map[string][]*func() int64)
 	}
-	r.funcs[name] = fn
+	r.funcs[name] = []*func() int64{&fn}
+}
+
+// AddFunc adds fn as one more term of the sampled gauge name, which reads
+// the sum of its terms, and returns a function that takes the term out
+// again.  Use it where several instances of one component share a registry
+// — eight readout units plugged into one node — and the name stands for all
+// of them.
+func (r *Registry) AddFunc(name string, fn func() int64) (remove func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.funcs == nil {
+		r.funcs = make(map[string][]*func() int64)
+	}
+	term := &fn
+	r.funcs[name] = append(r.funcs[name], term)
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		// A fresh slice: Snapshot may be summing the old one outside the lock.
+		var kept []*func() int64
+		for _, t := range r.funcs[name] {
+			if t != term {
+				kept = append(kept, t)
+			}
+		}
+		if r.funcs[name] = kept; kept == nil {
+			delete(r.funcs, name)
+		}
+	}
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -285,9 +314,9 @@ func (r *Registry) Snapshot() []Sample {
 	for name, g := range r.gauges {
 		out = append(out, Sample{Name: name, Kind: KindGauge, Value: g.Value()})
 	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for name, fn := range r.funcs {
-		funcs[name] = fn
+	funcs := make(map[string][]*func() int64, len(r.funcs))
+	for name, terms := range r.funcs {
+		funcs[name] = terms
 	}
 	histos := make(map[string]*Histogram, len(r.histos))
 	for name, h := range r.histos {
@@ -295,8 +324,12 @@ func (r *Registry) Snapshot() []Sample {
 	}
 	r.mu.Unlock()
 
-	for name, fn := range funcs {
-		out = append(out, Sample{Name: name, Kind: KindGauge, Value: safeCall(fn)})
+	for name, terms := range funcs {
+		var v int64
+		for _, fn := range terms {
+			v += safeCall(*fn)
+		}
+		out = append(out, Sample{Name: name, Kind: KindGauge, Value: v})
 	}
 	for name, h := range histos {
 		s := h.Snapshot()

@@ -98,6 +98,40 @@ func TestSnapshotSortedAndFuncs(t *testing.T) {
 	}
 }
 
+// TestAddFuncSumsTerms checks the summed sampled gauge: terms add up, a
+// removed term leaves, the last removal drops the name, and Func still
+// replaces whatever was there.
+func TestAddFuncSumsTerms(t *testing.T) {
+	r := NewRegistry()
+	value := func() (int64, bool) {
+		for _, s := range r.Snapshot() {
+			if s.Name == "g" {
+				return s.Value, true
+			}
+		}
+		return 0, false
+	}
+	rm1 := r.AddFunc("g", func() int64 { return 1 })
+	rm2 := r.AddFunc("g", func() int64 { return 10 })
+	if v, _ := value(); v != 11 {
+		t.Fatalf("two terms sampled as %d, want 11", v)
+	}
+	rm1()
+	rm1() // removing twice is harmless
+	if v, _ := value(); v != 10 {
+		t.Fatalf("after removing a term: %d, want 10", v)
+	}
+	rm2()
+	if _, ok := value(); ok {
+		t.Fatal("gauge survived its last term")
+	}
+	r.AddFunc("g", func() int64 { return 5 })
+	r.Func("g", func() int64 { return 7 })
+	if v, _ := value(); v != 7 {
+		t.Fatalf("Func did not replace the terms: %d, want 7", v)
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("exec.dispatched").Add(3)

@@ -1,6 +1,6 @@
 // Package faults provides a deterministic, seedable fault injector for the
 // peer transports.  Every transport consults an optional Injector at the top
-// of its Send path and either passes the frame through, drops it silently
+// of its Send path (Hook.Apply) and either passes the frame through, drops it silently
 // (lost on the wire), delays it, duplicates it, or refuses it with an error —
 // the failure modes a real fabric exhibits.  Rules select frames by position
 // (every Nth, after a warm-up offset, up to a limit) or by seeded
@@ -34,7 +34,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"xdaq/internal/i2o"
 )
 
 // Op is what the injector does to one frame.
@@ -301,4 +304,41 @@ func (in *Injector) AppliedFor(peer uint64) []uint64 {
 		copy(out, s.applied)
 	}
 	return out
+}
+
+// Hook is the send-path fault site of a peer transport.  Every transport
+// embeds one and calls Apply at the top of Send; with no injector installed
+// that costs one atomic load.
+type Hook struct{ in atomic.Pointer[Injector] }
+
+// Set installs in on the hook; nil removes it.
+func (h *Hook) Set(in *Injector) { h.in.Store(in) }
+
+// Apply draws the verdict for one frame to dst — from dst's own stream, so
+// each peer's schedule is deterministic whatever the dispatcher
+// interleaving — and carries out what is the same on every fabric.  It
+// returns how many copies of m the transport must put on the fabric: 1
+// normally, 2 for Duplicate (the retransmission goes immediately before the
+// original), and 0 when the frame is finished: dropped (nil error, lost on
+// the wire) or refused (the rule's error).  A finished frame's buffer is
+// released but the struct is left intact, so the agent's retry policy can
+// re-attach and resend it.
+func (h *Hook) Apply(dst i2o.NodeID, m *i2o.Message) (copies int, err error) {
+	in := h.in.Load()
+	if in == nil {
+		return 1, nil
+	}
+	switch act := in.NextFor(uint64(dst)); act.Op {
+	case Drop:
+		m.Release()
+		return 0, nil
+	case Delay:
+		time.Sleep(act.Delay)
+	case Error:
+		m.Release()
+		return 0, act.Err
+	case Duplicate:
+		return 2, nil
+	}
+	return 1, nil
 }

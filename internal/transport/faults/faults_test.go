@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xdaq/internal/i2o"
+	"xdaq/internal/pool"
 )
 
 func TestNthSchedule(t *testing.T) {
@@ -233,5 +236,47 @@ func TestDuplicateOp(t *testing.T) {
 func TestSeedAccessor(t *testing.T) {
 	if got := New(1234).Seed(); got != 1234 {
 		t.Fatalf("Seed() = %d, want 1234", got)
+	}
+}
+
+// TestHookApply walks the shared send-path hook through every verdict: the
+// copy count it hands the transport, the error, and whether the frame's
+// buffer was released.
+func TestHookApply(t *testing.T) {
+	var h Hook
+	frame := func() *i2o.Message {
+		b, err := pool.NewTable(0).Alloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &i2o.Message{Target: 1, Function: i2o.UtilNOP, Payload: b.Bytes()}
+		m.AttachBuffer(b)
+		return m
+	}
+	m := frame()
+	if n, err := h.Apply(7, m); n != 1 || err != nil || m.Buffer() == nil {
+		t.Fatalf("no injector: copies=%d err=%v buffer=%v, want a pass", n, err, m.Buffer())
+	}
+	// Frames 1..4 to peer 7: pass, duplicate, drop, error.
+	h.Set(New(1).
+		Add(Rule{Op: Duplicate, Nth: 2, Limit: 1}).
+		Add(Rule{Op: Drop, Nth: 3, Limit: 1}).
+		Add(Rule{Op: Error, Nth: 4, Limit: 1}))
+	for i, want := range []struct {
+		copies   int
+		injected bool
+	}{{1, false}, {2, false}, {0, false}, {0, true}} {
+		m := frame()
+		n, err := h.Apply(7, m)
+		if n != want.copies || errors.Is(err, ErrInjected) != want.injected {
+			t.Fatalf("frame %d: copies=%d err=%v, want copies=%d injected=%v", i+1, n, err, want.copies, want.injected)
+		}
+		if released := m.Buffer() == nil; released != (n == 0) {
+			t.Fatalf("frame %d: copies=%d but buffer released=%v", i+1, n, released)
+		}
+	}
+	h.Set(nil)
+	if n, err := h.Apply(7, m); n != 1 || err != nil {
+		t.Fatalf("injector removed: copies=%d err=%v", n, err)
 	}
 }

@@ -3,7 +3,6 @@ package gm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xdaq/internal/i2o"
@@ -43,7 +42,7 @@ type Transport struct {
 	taskStop chan struct{}
 	taskDone chan struct{}
 
-	flt atomic.Pointer[faults.Injector]
+	flt faults.Hook
 
 	nSent      *metrics.Counter
 	nRecv      *metrics.Counter
@@ -51,7 +50,7 @@ type Transport struct {
 }
 
 // SetFaults installs a fault injector on the send path; nil removes it.
-func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Store(in) }
+func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Set(in) }
 
 var _ pta.PeerTransport = (*Transport)(nil)
 
@@ -144,22 +143,9 @@ func (t *Transport) Name() string { return t.name }
 // Send implements pta.PeerTransport: header + payload + padding gathered
 // straight onto the wire, then the frame's pool buffer is released.
 func (t *Transport) Send(dst i2o.NodeID, m *i2o.Message) error {
-	dup := false
-	if in := t.flt.Load(); in != nil {
-		// Faults draw from the per-destination stream so the schedule for
-		// each peer is deterministic whatever the dispatcher interleaving.
-		switch act := in.NextFor(uint64(dst)); act.Op {
-		case faults.Drop:
-			m.Release()
-			return nil // descriptor dropped by the fabric
-		case faults.Delay:
-			time.Sleep(act.Delay)
-		case faults.Error:
-			m.Release()
-			return fmt.Errorf("gm: %w", act.Err)
-		case faults.Duplicate:
-			dup = true
-		}
+	copies, err := t.flt.Apply(dst, m)
+	if copies == 0 {
+		return err
 	}
 	t.mu.RLock()
 	port, ok := t.toPort[dst]
@@ -168,7 +154,7 @@ func (t *Transport) Send(dst i2o.NodeID, m *i2o.Message) error {
 		m.Release()
 		return fmt.Errorf("gm: no port for %v", dst)
 	}
-	if dup {
+	if copies == 2 {
 		// A lost-ack retransmission: the same frame hits the wire twice.
 		if err := t.transmit(port, m); err != nil {
 			m.Release()

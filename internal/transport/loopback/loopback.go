@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"xdaq/internal/i2o"
 	"xdaq/internal/metrics"
@@ -90,11 +88,11 @@ type Endpoint struct {
 	cSent   *metrics.Counter
 	cRecv   *metrics.Counter
 
-	flt atomic.Pointer[faults.Injector]
+	flt faults.Hook
 }
 
 // SetFaults installs a fault injector on the send path; nil removes it.
-func (e *Endpoint) SetFaults(in *faults.Injector) { e.flt.Store(in) }
+func (e *Endpoint) SetFaults(in *faults.Injector) { e.flt.Set(in) }
 
 // SetMetrics redirects the endpoint's frame counters into reg (normally
 // the owning executive's registry).  Call it before the endpoint carries
@@ -117,25 +115,16 @@ func (e *Endpoint) Node() i2o.NodeID { return e.node }
 // Send implements pta.PeerTransport: the frame pointer crosses directly
 // into the destination executive.  Zero copies.
 func (e *Endpoint) Send(dst i2o.NodeID, m *i2o.Message) error {
-	if in := e.flt.Load(); in != nil {
-		// Faults draw from the per-destination stream so the schedule for
-		// each peer is deterministic whatever the dispatcher interleaving.
-		switch act := in.NextFor(uint64(dst)); act.Op {
-		case faults.Drop:
+	copies, err := e.flt.Apply(dst, m)
+	if copies == 0 {
+		return err
+	}
+	if copies == 2 {
+		// The receiver consumes (and recycles) each delivered frame, so
+		// the duplicate must be an independent clone of the original.
+		if err := e.deliverTo(dst, m.Dup()); err != nil {
 			m.Release()
-			return nil // lost on the wire
-		case faults.Delay:
-			time.Sleep(act.Delay)
-		case faults.Error:
-			m.Release()
-			return fmt.Errorf("loopback: %w", act.Err)
-		case faults.Duplicate:
-			// The receiver consumes (and recycles) each delivered frame, so
-			// the duplicate must be an independent clone of the original.
-			if err := e.deliverTo(dst, m.Dup()); err != nil {
-				m.Release()
-				return err
-			}
+			return err
 		}
 	}
 	return e.deliverTo(dst, m)

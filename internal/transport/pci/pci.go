@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xdaq/internal/i2o"
 	"xdaq/internal/metrics"
@@ -113,11 +112,11 @@ type Endpoint struct {
 	nRecv     *metrics.Counter
 	nFifoFull *metrics.Counter
 
-	flt atomic.Pointer[faults.Injector]
+	flt faults.Hook
 }
 
 // SetFaults installs a fault injector on the send path; nil removes it.
-func (e *Endpoint) SetFaults(in *faults.Injector) { e.flt.Store(in) }
+func (e *Endpoint) SetFaults(in *faults.Injector) { e.flt.Set(in) }
 
 // SetMetrics redirects the endpoint's counters (pt.pci.sent, .recv,
 // .fifoFull) into reg, normally the owning executive's registry.  Call it
@@ -153,25 +152,16 @@ func (e *Endpoint) Pending() int { return len(e.fifo) }
 // Send implements pta.PeerTransport: the frame pointer is posted into the
 // destination's inbound FIFO, blocking while it is full.
 func (e *Endpoint) Send(dst i2o.NodeID, m *i2o.Message) error {
-	if in := e.flt.Load(); in != nil {
-		// Faults draw from the per-destination stream so the schedule for
-		// each peer is deterministic whatever the dispatcher interleaving.
-		switch act := in.NextFor(uint64(dst)); act.Op {
-		case faults.Drop:
+	copies, err := e.flt.Apply(dst, m)
+	if copies == 0 {
+		return err
+	}
+	if copies == 2 {
+		// A doubled doorbell write: the duplicate descriptor lands in the
+		// FIFO just before the original.
+		if err := e.post(dst, m.Dup()); err != nil {
 			m.Release()
-			return nil // lost on the segment
-		case faults.Delay:
-			time.Sleep(act.Delay)
-		case faults.Error:
-			m.Release()
-			return fmt.Errorf("pci: %w", act.Err)
-		case faults.Duplicate:
-			// A doubled doorbell write: the duplicate descriptor lands in
-			// the FIFO just before the original.
-			if err := e.post(dst, m.Dup()); err != nil {
-				m.Release()
-				return err
-			}
+			return err
 		}
 	}
 	return e.post(dst, m)

@@ -101,7 +101,7 @@ type Transport struct {
 	rr     int // round-robin poll start, poll-loop-owned
 
 	closed atomic.Bool
-	flt    atomic.Pointer[faults.Injector]
+	flt    faults.Hook
 
 	cSent, cRecv, cFull, cErr *metrics.Counter
 }
@@ -160,7 +160,7 @@ func (t *Transport) Node() i2o.NodeID { return t.node }
 func (t *Transport) Dir() string { return t.dir }
 
 // SetFaults installs a fault injector on the send path; nil removes it.
-func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Store(in) }
+func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Set(in) }
 
 // AddPeer maps both ring directions for peer, creating the files as
 // needed.  Idempotent.
@@ -204,18 +204,12 @@ func (t *Transport) Send(dst i2o.NodeID, m *i2o.Message) error {
 		m.Release()
 		return ErrClosed
 	}
-	if in := t.flt.Load(); in != nil {
-		switch act := in.NextFor(uint64(dst)); act.Op {
-		case faults.Drop:
-			m.Recycle()
-			return nil // lost in the ring
-		case faults.Delay:
-			time.Sleep(act.Delay)
-		case faults.Error:
-			m.Release()
+	copies, err := t.flt.Apply(dst, m)
+	if copies == 0 {
+		if err != nil {
 			t.cErr.Inc()
-			return fmt.Errorf("shm: %w", act.Err)
 		}
+		return err
 	}
 	t.mu.Lock()
 	r := t.out[dst]
@@ -225,16 +219,19 @@ func (t *Transport) Send(dst i2o.NodeID, m *i2o.Message) error {
 		t.cErr.Inc()
 		return fmt.Errorf("%w: %v", ErrUnknownPeer, dst)
 	}
-	if err := r.push(m); err != nil {
-		m.Release()
-		if errors.Is(err, queue.ErrFull) {
-			t.cFull.Inc()
-		} else {
-			t.cErr.Inc()
+	// A duplicate is the same record pushed twice, back to back.
+	for ; copies > 0; copies-- {
+		if err := r.push(m); err != nil {
+			m.Release()
+			if errors.Is(err, queue.ErrFull) {
+				t.cFull.Inc()
+			} else {
+				t.cErr.Inc()
+			}
+			return err
 		}
-		return err
+		t.cSent.Inc()
 	}
-	t.cSent.Inc()
 	m.Recycle()
 	return nil
 }

@@ -10,8 +10,10 @@ import (
 	"xdaq/internal/device"
 	"xdaq/internal/executive"
 	"xdaq/internal/i2o"
+	"xdaq/internal/pool"
 	"xdaq/internal/pta"
 	"xdaq/internal/queue"
+	"xdaq/internal/transport/faults"
 )
 
 type shmNode struct {
@@ -209,5 +211,51 @@ func TestSendToUnknownPeer(t *testing.T) {
 	err = tr.Send(9, &i2o.Message{Target: 1, Function: i2o.UtilNOP})
 	if !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("want ErrUnknownPeer, got %v", err)
+	}
+}
+
+// TestDuplicateFaultDeliversTwice checks the shared send-path fault hook
+// is wired in: a Duplicate verdict puts the record on the ring twice, back
+// to back, and a Drop verdict loses it with a nil error.
+func TestDuplicateFaultDeliversTwice(t *testing.T) {
+	dir := t.TempDir()
+	alloc := pool.NewTable(0)
+	a, err := New(1, alloc, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Stop()
+	b, err := New(2, alloc, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	if err := a.AddPeer(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddPeer(1); err != nil {
+		t.Fatal(err)
+	}
+	// Frame 1 passes, frame 2 is duplicated, frame 3 dropped.
+	a.SetFaults(faults.New(1).
+		Add(faults.Rule{Op: faults.Duplicate, Nth: 2, Limit: 1}).
+		Add(faults.Rule{Op: faults.Drop, Nth: 3, Limit: 1}))
+	for i := byte(1); i <= 3; i++ {
+		if err := a.Send(2, &i2o.Message{
+			Target: 1, Initiator: i2o.TIDExecutive,
+			Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ, XFunction: 1,
+			Payload: []byte{i, 0, 0, 0},
+		}); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	var got []byte
+	b.Poll(func(_ i2o.NodeID, m *i2o.Message) error {
+		got = append(got, m.Payload[0])
+		m.Release()
+		return nil
+	}, 16)
+	if string(got) != "\x01\x02\x02" {
+		t.Fatalf("delivered %v, want [1 2 2]", got)
 	}
 }

@@ -48,9 +48,12 @@ func rawPair(t testing.TB, cfg Config, fn pta.Deliver) (*Transport, *Transport) 
 // race: concurrent senders to a not-yet-connected peer must share a single
 // in-flight dial instead of each opening (and then discarding) its own
 // connection.
+//
+// The frames are rendezvous-sized, so with the ring idle every sender runs
+// put — and with it connTo — on its own goroutine.
 func TestConcurrentDialDedup(t *testing.T) {
 	reg := metrics.NewRegistry()
-	send, _ := rawPair(t, Config{Unbatched: true, Metrics: reg}, nil)
+	send, _ := rawPair(t, Config{Metrics: reg}, nil)
 
 	const senders = 16
 	var (
@@ -63,7 +66,11 @@ func TestConcurrentDialDedup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			errs <- send.Send(2, &i2o.Message{Target: 1, Function: i2o.UtilNOP})
+			errs <- send.Send(2, &i2o.Message{
+				Target: 1, Initiator: i2o.TIDExecutive,
+				Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ, XFunction: 1,
+				Payload: make([]byte, 4*DefaultThreshold),
+			})
 		}()
 	}
 	close(start)
@@ -76,6 +83,9 @@ func TestConcurrentDialDedup(t *testing.T) {
 	}
 	if n := reg.Counter(PTName + ".dials").Value(); n != 1 {
 		t.Fatalf("%d dials for %d concurrent senders, want 1", n, senders)
+	}
+	if n := reg.Counter(PTName + ".rendezvous.sends").Value(); n == 0 {
+		t.Fatal("no sender took the rendezvous lane; the dial race was not exercised")
 	}
 }
 
@@ -182,11 +192,7 @@ func TestReconnectUnderConcurrentSenders(t *testing.T) {
 		seqs [senders][]uint32
 	)
 	reg := metrics.NewRegistry()
-	send, _ := rawPair(t, Config{
-		Metrics:   reg,
-		RingDepth: 64,
-		Redial:    RedialPolicy{Attempts: 10, Backoff: time.Millisecond},
-	}, func(_ i2o.NodeID, m *i2o.Message) error {
+	send, _ := rawPair(t, Config{Metrics: reg, RingDepth: 64}, func(_ i2o.NodeID, m *i2o.Message) error {
 		if len(m.Payload) == 5 {
 			mu.Lock()
 			s := m.Payload[0]
@@ -292,7 +298,7 @@ func TestEagerRendezvousBoundaryOrder(t *testing.T) {
 		seqs [senders][]uint32
 	)
 	reg := metrics.NewRegistry()
-	send, _ := rawPair(t, Config{Metrics: reg, Threshold: thr}, func(_ i2o.NodeID, m *i2o.Message) error {
+	send, _ := rawPair(t, Config{Metrics: reg}, func(_ i2o.NodeID, m *i2o.Message) error {
 		mu.Lock()
 		s := m.Payload[0]
 		seqs[s] = append(seqs[s], binary.LittleEndian.Uint32(m.Payload[1:]))
@@ -300,6 +306,7 @@ func TestEagerRendezvousBoundaryOrder(t *testing.T) {
 		m.Release()
 		return nil
 	})
+	send.SetThreshold(thr)
 
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -370,7 +377,18 @@ func TestEagerRendezvousBoundaryOrder(t *testing.T) {
 	// exactly one lane.  Fallback counts per Send attempt (a frame can
 	// fall back, hit a full ring, and fall back again on retry), so the
 	// eligible 2/3 of the traffic is a floor for sends+fallbacks, not an
-	// exact match.
+	// exact match.  Delivery can overtake the sender's own bookkeeping, so
+	// wait for the writer to finish its last batch (the ring goes idle
+	// after the lane counters are updated) before reading them.
+	send.mu.Lock()
+	q := send.peers[2].q
+	send.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); !q.Idle(); {
+		if time.Now().After(deadline) {
+			t.Fatal("send ring never went idle")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	var (
 		rvSends = reg.Counter(PTName + ".rendezvous.sends").Value()
 		rvFall  = reg.Counter(PTName + ".rendezvous.fallback").Value()
@@ -409,10 +427,11 @@ func TestCreditExhaustionSignalsTransient(t *testing.T) {
 		mu   sync.Mutex
 		held []*i2o.Message
 	)
-	recv, err := New(2, pool.NewTable(0), Config{Listen: "127.0.0.1:0", Credits: window})
+	recv, err := New(2, pool.NewTable(0), Config{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	recv.grant, recv.flushAt = window, 1 // before any handshake reads them
 	t.Cleanup(func() { recv.Stop() })
 	if err := recv.Start(func(_ i2o.NodeID, m *i2o.Message) error {
 		mu.Lock()
@@ -489,11 +508,7 @@ func TestBulkLaneRedialResends(t *testing.T) {
 		small int
 	)
 	reg := metrics.NewRegistry()
-	send, _ := rawPair(t, Config{
-		Metrics:   reg,
-		Threshold: 256,
-		Redial:    RedialPolicy{Attempts: 10, Backoff: time.Millisecond},
-	}, func(_ i2o.NodeID, m *i2o.Message) error {
+	send, _ := rawPair(t, Config{Metrics: reg}, func(_ i2o.NodeID, m *i2o.Message) error {
 		mu.Lock()
 		if len(m.Payload) > 256 {
 			big = append(big, binary.LittleEndian.Uint32(m.Payload))
@@ -504,6 +519,7 @@ func TestBulkLaneRedialResends(t *testing.T) {
 		m.Release()
 		return nil
 	})
+	send.SetThreshold(256)
 	// Bulk-lane stream for peer 2: Error on draws 5, 8, 11 and 14.  The
 	// writer's stream (plain key 2) never fires, so any redial observed
 	// below was forced by the rendezvous lane.

@@ -131,8 +131,9 @@ func BenchmarkRemoteSendRendezvous(b *testing.B) {
 // BenchmarkRemoteThreshold sweeps the eager/rendezvous switch point across
 // payload sizes and sender counts — the measurement behind the threshold
 // choice in doc/performance.md.  thr=eager pins every frame to the
-// coalescing ring (Threshold -1), thr=rv forces every frame onto the direct
-// lane (Threshold 1), and the middle setting splits at 512 wire bytes.
+// coalescing ring (a threshold no frame reaches), thr=rv forces every frame
+// onto the direct lane (threshold 1), and the middle setting splits at 512
+// wire bytes.
 func BenchmarkRemoteThreshold(b *testing.B) {
 	var recvd atomic.Uint64
 	fn := func(_ i2o.NodeID, m *i2o.Message) error {
@@ -148,8 +149,9 @@ func BenchmarkRemoteThreshold(b *testing.B) {
 		{"512", nil},
 		{"rv", nil},
 	}
-	for i, thr := range []int{-1, 512, 1} {
-		transports[i].tr, _ = rawPair(b, Config{Threshold: thr}, fn)
+	for i, thr := range []int{i2o.MaxWireSize + 1, 512, 1} {
+		transports[i].tr, _ = rawPair(b, Config{}, fn)
+		transports[i].tr.SetThreshold(thr)
 	}
 	alloc := pool.NewTable(0)
 	blk, err := alloc.Alloc(4096)
@@ -219,10 +221,10 @@ func BenchmarkRemoteRoundTrip(b *testing.B) {
 }
 
 // BenchmarkRemoteThroughput drives four concurrent senders through one
-// connection and measures delivered payload throughput, batched against
-// the unbatched baseline (every frame its own encode + write syscall).
-// The small-frame cases are where coalescing pays: many frames per
-// vectored write instead of one syscall each.
+// connection and measures delivered payload throughput.  The small-frame
+// cases are where coalescing pays: many frames per vectored write instead
+// of one syscall each.  (The committed BENCH_remote.json keeps the rows of
+// the retired unbatched baseline this used to run against.)
 func BenchmarkRemoteThroughput(b *testing.B) {
 	const senders = 4
 	var recvd atomic.Uint64
@@ -232,7 +234,6 @@ func BenchmarkRemoteThroughput(b *testing.B) {
 		return nil
 	}
 	batched, _ := rawPair(b, Config{}, fn)
-	unbatched, _ := rawPair(b, Config{Unbatched: true}, fn)
 
 	alloc := pool.NewTable(0)
 	blk, err := alloc.Alloc(16384)
@@ -242,30 +243,22 @@ func BenchmarkRemoteThroughput(b *testing.B) {
 	for i := range blk.Bytes() {
 		blk.Bytes()[i] = byte(i)
 	}
-	for _, tc := range []struct {
-		name string
-		tr   *Transport
-	}{
-		{"batched", batched},
-		{"unbatched", unbatched},
-	} {
-		for _, size := range []int{64, 256, 1024, 4096, 16384} {
-			b.Run(fmt.Sprintf("%s/%dB/senders=%d", tc.name, size, senders), func(b *testing.B) {
-				payload := blk.Bytes()[:size]
-				base := recvd.Load()
-				b.SetBytes(int64(size))
-				b.SetParallelism(senders)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						sendRetained(b, tc.tr, blk, payload)
-					}
-				})
-				// Throughput is delivered frames, not enqueued ones: the
-				// clock stops when the receiver has seen every frame.
-				waitDelivered(b, &recvd, base+uint64(b.N))
-				b.StopTimer()
+	for _, size := range []int{64, 256, 1024, 4096, 16384} {
+		b.Run(fmt.Sprintf("batched/%dB/senders=%d", size, senders), func(b *testing.B) {
+			payload := blk.Bytes()[:size]
+			base := recvd.Load()
+			b.SetBytes(int64(size))
+			b.SetParallelism(senders)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					sendRetained(b, batched, blk, payload)
+				}
 			})
-		}
+			// Throughput is delivered frames, not enqueued ones: the
+			// clock stops when the receiver has seen every frame.
+			waitDelivered(b, &recvd, base+uint64(b.N))
+			b.StopTimer()
+		})
 	}
 }

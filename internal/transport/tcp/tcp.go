@@ -5,49 +5,20 @@
 // here it also serves as the transport for genuinely distributed
 // deployments of the cmd/xdaqd node daemon.
 //
-// Wire format per connection: a 16-byte handshake (8-byte magic, 4-byte
-// node id, 4-byte credit grant, all little-endian), then a stream of
-// records.  Each record starts with one 32-bit word packing a 24-bit frame
-// length and an 8-bit piggybacked credit return (see i2o.PackRecordWord),
-// followed by the encoded I2O frame; a zero-length record carries a
-// standalone credit return.
+// Wire format per connection: a 24-byte handshake (8-byte magic, 4-byte
+// node id, 4-byte credit grant, 8-byte connection epoch, all
+// little-endian), then a stream of records.  Each record starts with one
+// 32-bit word packing a 24-bit frame length and an 8-bit piggybacked credit
+// return (see i2o.PackRecordWord), followed by the encoded I2O frame; a
+// zero-length record carries a standalone credit return.
 //
-// The send path runs two protocols, selected per frame — the small/large
-// message split MPICH2-over-InfiniBand makes with its eager and rendezvous
-// protocols (Liu et al., PAPERS.md):
-//
-//   - Eager: frames below a threshold enqueue on a per-peer descriptor
-//     ring (the GM NIC model of internal/transport/gm); a per-peer writer
-//     drains the ring and coalesces everything queued into one vectored
-//     write — length prefixes and headers in a reused scratch arena,
-//     payload slices (or every segment of an SGL) appended zero-copy.
-//     Coalescing amortizes the syscall over many small frames.
-//   - Rendezvous: frames at or above the threshold bypass the ring and go
-//     out via a direct vectored write on the sender's own goroutine, under
-//     the connection write mutex.  Large payloads are never copied through
-//     or serialized behind the writer, so concurrent bulk senders keep the
-//     socket full instead of queuing behind one goroutine.  The bypass is
-//     gated on an idle ring (ring.Idle), which preserves per-sender FIFO
-//     order across the two lanes.
-//
-// The threshold auto-tunes from the live coalescing metrics, one-sidedly:
-// when writer batches degenerate to a frame or two per writev the
-// threshold trims toward thresholdMin so near-threshold frames take the
-// direct lane, and when batches amortize many frames per syscall again it
-// recovers toward its DefaultThreshold ceiling.  It never rises above the
-// ceiling.  Config.Threshold pins it instead.
-//
-// Flow control is credit-based, as on an InfiniBand link: the handshake
-// grants a per-peer window of in-flight frames, Send consumes one credit
-// per frame, and the receiver returns credits when its pooled receive
-// block recycles, piggybacked on the record words of reverse traffic (or a
-// standalone zero-length record when the link is one-way).  An exhausted
-// window fails with ErrNoCredit — transient backpressure for the agent's
-// retry policy, like a full ring — so a slow receiver throttles senders
-// proactively instead of letting frames pile up in kernel buffers.
-// Receive streams the socket into 256 KB pool blocks and decodes frames in
-// place; one block backs many frames by reference count, so the steady
-// state allocates nothing on either end, on either lane.
+// Frames reach the socket on one of two lanes, the small/large message
+// split MPICH2-over-InfiniBand makes with its eager and rendezvous
+// protocols (Liu et al., PAPERS.md): below the threshold they coalesce
+// through a per-peer ring and its writer, at or above it they go out on
+// the sender's own goroutine while the ring is idle.  Both lanes, and
+// standalone credit returns, end in the same function (put), which owns
+// faults, redial, encoding and the write itself.
 package tcp
 
 import (
@@ -73,32 +44,45 @@ import (
 // PTName is the default route name.
 const PTName = "pt.tcp"
 
-var magic = [8]byte{'X', 'D', 'A', 'Q', 'I', '2', 'O', '2'}
+var magic = [8]byte{'X', 'D', 'A', 'Q', 'I', '2', 'O', '3'}
 
-// helloSize is the handshake length: magic, node id, credit grant.
-const helloSize = 16
+// helloSize is the handshake length: magic, node id, credit grant, epoch.
+const helloSize = 24
 
 // readBlockSize is the streaming receive buffer: one pool block sized so
 // that any length-prefixed record fits whole.  It lands exactly on
 // pool.MaxBlock (4 + 0xFFFF*4 = 256 KiB), the paper's maximum block length.
 const readBlockSize = 4 + i2o.MaxWireSize
 
-// recordHeader is the per-frame wire overhead the writer encodes into its
-// scratch buffer: the 4-byte record word plus the largest frame header.
+// recordHeader is the per-frame wire overhead of a gathered write: the
+// 4-byte record word plus the largest frame header.
 const recordHeader = 4 + i2o.PrivateHeaderSize
 
 // dialTimeout bounds one connection attempt so a writer redialing a dead
 // peer stays responsive to Stop.
 const dialTimeout = 3 * time.Second
 
+// drainTimeout bounds how long a retired connection may keep reading its
+// tail: a successor stream's reader waits behind it, and a half-dead peer
+// that never sends its FIN must not stall the successor for good.
+const drainTimeout = time.Second
+
+// Redial policy: a batch gets redialAttempts dial+write attempts, with
+// exponential backoff between them.
+const (
+	redialAttempts   = 5
+	redialBackoff    = time.Millisecond
+	redialMaxBackoff = 200 * time.Millisecond
+)
+
 // DefaultThreshold is the eager/rendezvous switch point in wire bytes —
 // the small/large message split of MPICH2-over-InfiniBand (PAPERS.md),
 // scaled to this transport: coalescing amortizes its writev only while
 // per-frame overhead dominates the wire time, and on a loopback TCP link
 // that crossover sits near a few hundred bytes, not the tens of kilobytes
-// of an RDMA eager limit.  With auto-tuning enabled (Config.Threshold ==
-// 0) this is also the ceiling; the live coalescing metrics only trim the
-// threshold within [thresholdMin, DefaultThreshold].
+// of an RDMA eager limit.  It is also the auto-tuner's ceiling; the live
+// coalescing metrics only trim the threshold within [thresholdMin,
+// DefaultThreshold].
 const DefaultThreshold = 256
 
 const (
@@ -123,13 +107,12 @@ const (
 	tuneFrameCeil = 2
 )
 
-// DefaultCredits is the per-peer receive window granted on connect when
-// Config.Credits is zero: how many frames a peer may have in flight toward
-// us before its sends fail with ErrNoCredit.  Credit-based flow control is
-// the InfiniBand reliable-connection discipline MPICH2 layers its channel
-// on (PAPERS.md): the receiver pre-declares buffer capacity and the sender
-// never overruns it, turning backpressure from a reactive failure into a
-// proactive window.
+// DefaultCredits is the per-peer receive window granted on connect: how
+// many frames a peer may have in flight toward us before its sends fail
+// with ErrNoCredit.  Credit-based flow control is the InfiniBand
+// reliable-connection discipline MPICH2 layers its channel on (PAPERS.md):
+// the receiver pre-declares buffer capacity and the sender never overruns
+// it, turning backpressure from a reactive failure into a proactive window.
 //
 // The window is a safety valve against a wedged receiver, not a rate
 // limiter, so it must clear the link's bandwidth-delay product — and the
@@ -146,6 +129,18 @@ const DefaultCredits = 32 * 1024
 // lane sees its own deterministic schedule (faults.Injector.NextFor).
 const bulkLaneBit = uint64(1) << 32
 
+// bulkCopyLimit is the largest lone record put stages into contiguous
+// scratch instead of gathering: at these sizes the memcpy is cheaper than
+// the extra iovec bookkeeping of a writev (measured — a copying write beat
+// a two-segment writev up to 4 KiB on this host).  Only scratch for puts
+// on a sender's own goroutine stages (wireScratch.stage); a writer gathers
+// whatever it popped, as it always has.  A writer that gets a small batch
+// out sooner comes back to a shorter ring, so it issues more and smaller
+// writes — BenchmarkRemoteSend lost 12% with staging writers — and the
+// threshold tuner reads the small batches as the ring not amortizing and
+// trims a small-frame stream onto the direct lane for good.
+const bulkCopyLimit = 4096
+
 // Errors.
 var (
 	// ErrClosed reports use of a stopped transport.
@@ -155,7 +150,9 @@ var (
 	// connection.
 	ErrNoPeer = errors.New("tcp: no peer address")
 
-	// ErrHandshake reports a connection with a bad magic or node id.
+	// ErrHandshake reports a connection with a bad magic or node id, or one
+	// the peer refused (a stale epoch, or the loser of a simultaneous
+	// connect).
 	ErrHandshake = errors.New("tcp: handshake failed")
 
 	// ErrRingFull reports a send onto a full per-peer ring.  It is
@@ -173,27 +170,6 @@ var (
 	ErrNoCredit = fmt.Errorf("tcp: peer send window exhausted: %w (%w)", queue.ErrFull, pta.ErrTransient)
 )
 
-// RedialPolicy bounds a writer's attempts to reconnect and resend after a
-// broken connection, with exponential backoff between attempts.
-type RedialPolicy struct {
-	Attempts   int           // dial+write attempts per batch; <1 selects 5
-	Backoff    time.Duration // first retry delay; <=0 selects 1ms
-	MaxBackoff time.Duration // backoff cap; 0 selects 200ms
-}
-
-func (p RedialPolicy) withDefaults() RedialPolicy {
-	if p.Attempts < 1 {
-		p.Attempts = 5
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 200 * time.Millisecond
-	}
-	return p
-}
-
 // Transport is one node's TCP peer transport.
 type Transport struct {
 	node  i2o.NodeID
@@ -202,7 +178,8 @@ type Transport struct {
 	ln    net.Listener
 
 	mu      sync.Mutex
-	conns   map[i2o.NodeID]*peerConn
+	conns   map[i2o.NodeID]*peerConn // the stream sends to each peer go out on
+	reading map[*peerConn]struct{}   // every stream with a reader, retired ones included
 	addrs   map[i2o.NodeID]string
 	peers   map[i2o.NodeID]*peer
 	dialing map[i2o.NodeID]*dialCall
@@ -212,35 +189,32 @@ type Transport struct {
 	stopc  chan struct{}
 	wg     sync.WaitGroup
 
-	unbatched  bool
-	depth      int
-	redial     RedialPolicy
-	rendezvous bool         // large frames may bypass the ring
-	autoTune   atomic.Bool  // threshold follows the coalescing metrics
-	thr        atomic.Int64 // current eager/rendezvous threshold, wire bytes
-	grant      int64        // receive window granted to each peer; 0 = unlimited
-	flushAt    int64        // owed credits that trigger a standalone return
+	depth    int
+	autoTune atomic.Bool   // threshold follows the coalescing metrics
+	thr      atomic.Int64  // current eager/rendezvous threshold, wire bytes
+	grant    int64         // receive window granted to each peer
+	flushAt  int64         // owed credits that trigger a standalone return
+	epoch    atomic.Uint64 // last connection epoch handed to a dial
 
-	// EWMA of the writer's batch shape, 1/16 fixed point, alpha 1/8.
+	// EWMA of the writer's frames per batch, 1/16 fixed point, alpha 1/8.
 	// Shared across per-peer writers; the races are benign (the tuner is
-	// a heuristic reading approximate averages).
+	// a heuristic reading an approximate average).
 	avgFrames atomic.Int64
-	avgBytes  atomic.Int64
 
-	scratch sync.Pool // *bulkScratch, reused across rendezvous sends
+	scratch sync.Pool // *wireScratch, for puts off the writer goroutines
 
-	flt  atomic.Pointer[faults.Injector] // send path (enqueue)
-	wflt atomic.Pointer[faults.Injector] // wire path (writer + bulk lane)
+	flt  faults.Hook                     // send path (enqueue)
+	wflt atomic.Pointer[faults.Injector] // wire path (put)
 
 	nSent    *metrics.Counter
 	nRecv    *metrics.Counter
 	nDials   *metrics.Counter
 	nAccs    *metrics.Counter
 	nDrops   *metrics.Counter
-	nWrites  *metrics.Counter // batch.writes: vectored writes issued
+	nWrites  *metrics.Counter // batch.writes: writer batches put on the wire
 	nBatched *metrics.Counter // batch.frames: frames carried by them
 	nFull    *metrics.Counter // ring.full: sends refused by backpressure
-	nErrs    *metrics.Counter // sendErrors: frames dropped by the writer
+	nErrs    *metrics.Counter // sendErrors: frames put gave up on
 	nRvSends *metrics.Counter // rendezvous.sends: frames on the bulk lane
 	nRvBytes *metrics.Counter // rendezvous.bytes: wire bytes they carried
 	nRvFall  *metrics.Counter // rendezvous.fallback: bulk frames via the ring
@@ -249,26 +223,34 @@ type Transport struct {
 	nCredSnt *metrics.Counter // credits.sent: credits put on the wire
 }
 
+// peerConn is one handshaken stream.  Its identity is (initiator, epoch):
+// the initiator stamps every dial with a fresh epoch, so both ends agree
+// which of two streams between them is the newer.
 type peerConn struct {
 	node      i2o.NodeID
-	initiator i2o.NodeID // who dialed this stream (simultaneous-connect tie-break)
-	c         net.Conn
-	grant     uint32     // credit window the peer granted us; 0 = unlimited
-	writeMu   sync.Mutex // serializes writer batches, bulk sends, unbatched sends, credit flushes
+	initiator i2o.NodeID // who dialed this stream
+	epoch     uint64     // the initiator's epoch for this dial
+	c         *net.TCPConn
+	grant     uint32     // credit window the peer granted us
+	writeMu   sync.Mutex // serializes puts (and the accept-side hello)
+
+	after <-chan struct{} // predecessor stream's done; the reader waits for it
+	done  chan struct{}   // closed when this stream's reader has exited
 }
 
-// peer is the per-destination send state: the descriptor ring, the writer
-// draining it, and both directions of the credit account — credits is our
+// peer is the per-destination state: the descriptor ring, the writer
+// draining it, both directions of the credit account — credits is our
 // remaining send window toward the peer, owed is what we have to give back
-// for frames received from it.
+// for frames received from it — and the tail of the peer's reader chain.
 type peer struct {
 	node i2o.NodeID
 	q    *ring.Queue[*i2o.Message]
 
-	wstarted bool // writer goroutine running (guarded by Transport.mu)
+	wstarted bool            // writer goroutine running (guarded by Transport.mu)
+	tail     <-chan struct{} // done of the newest stream adopted (guarded by Transport.mu)
 
 	credits atomic.Int64 // send window remaining toward this peer
-	limit   atomic.Int64 // granted window size; 0 = flow control off
+	limit   atomic.Int64 // granted window size
 	owed    atomic.Int64 // credits to return for frames received from it
 }
 
@@ -277,38 +259,30 @@ type peer struct {
 // the clamp keeps the window honest.
 func (p *peer) refill(n int64) {
 	lim := p.limit.Load()
-	if lim == 0 || n <= 0 {
-		return
-	}
-	for {
+	for n > 0 {
 		cur := p.credits.Load()
-		next := cur + n
-		if next > lim {
-			next = lim
-		}
+		next := min(cur+n, lim)
 		if next <= cur || p.credits.CompareAndSwap(cur, next) {
 			return
 		}
 	}
 }
 
-// bulkScratch is a rendezvous send's reusable encode state: the record
-// word and header land in hdr, the iovec in vec.  Pooled so the
-// steady-state bulk path allocates nothing.  bufs shares vec's backing
-// array for the writev: net.Buffers.WriteTo advances its receiver through
-// the slice, so the call needs a heap-resident header to escape into —
-// keeping it in the pooled struct avoids a per-frame allocation that a
-// stack net.Buffers would pay at the interface call.
-type bulkScratch struct {
-	hdr  [recordHeader]byte
-	buf  []byte // contiguous staging for frames <= bulkCopyLimit
-	vec  [][]byte
-	bufs net.Buffers
+// wireScratch is one put's reusable state, owned by a writer goroutine or
+// pooled for puts on other goroutines, so the steady state allocates
+// nothing.  bufs shares vec's backing array for the writev:
+// net.Buffers.WriteTo advances its receiver through the slice, so the call
+// needs a heap-resident header to escape into — keeping it here avoids a
+// per-write allocation that a stack net.Buffers would pay at the interface
+// call.
+type wireScratch struct {
+	stage bool           // stage a lone record up to bulkCopyLimit; false for the writers
+	ms    []*i2o.Message // frames not yet on the wire, oldest first
+	sizes []int          // record sizes of the attempt in flight
+	hdr   []byte         // record words + headers (gathered) or whole records (staged)
+	vec   [][]byte
+	bufs  net.Buffers
 }
-
-// bulkCopyLimit is the largest wire size the bulk lane copies into
-// contiguous scratch instead of sending as a zero-copy writev.
-const bulkCopyLimit = 4096
 
 // dialCall dedupes concurrent dials to the same peer (singleflight): the
 // first sender dials, the rest wait for its result.
@@ -342,38 +316,9 @@ type Config struct {
 	// scrape.
 	Metrics *metrics.Registry
 
-	// Unbatched disables the per-peer send rings and the rendezvous lane:
-	// every Send encodes and writes its frame synchronously under a
-	// per-connection mutex.  This is the pre-ring data path, kept as the
-	// measured baseline for the remote benchmarks (see doc/performance.md
-	// and the `make bench-gate` regression gate).
-	Unbatched bool
-
 	// RingDepth is the per-peer send ring capacity; <=0 selects
 	// ring.DefaultDepth.
 	RingDepth int
-
-	// Redial bounds writer reconnect attempts after a broken connection.
-	Redial RedialPolicy
-
-	// Threshold selects the eager/rendezvous switch point in wire bytes —
-	// the small/large message split of MPICH2-over-InfiniBand (PAPERS.md).
-	// Frames at or above it bypass the coalescing ring via a direct
-	// vectored write when ordering allows.  Zero (the default) starts at
-	// DefaultThreshold and auto-tunes from the live batch.* coalescing
-	// metrics, trimming within [64, DefaultThreshold] — never above it; a
-	// positive value pins the threshold; a negative value disables the
-	// rendezvous lane entirely (every frame coalesces, the pre-split data
-	// path).
-	Threshold int
-
-	// Credits is the receive window granted to each connecting peer: the
-	// number of frames it may have in flight toward this node before its
-	// sends see ErrNoCredit, returned as the receiver recycles its pooled
-	// blocks (credit-based flow control, as on an InfiniBand link).  Zero
-	// selects DefaultCredits; a negative value disables flow control (an
-	// unlimited grant is advertised).
-	Credits int
 }
 
 // New creates the transport and, when configured, starts listening.
@@ -392,14 +337,15 @@ func New(node i2o.NodeID, alloc pool.Allocator, cfg Config) (*Transport, error) 
 		alloc:   alloc,
 		name:    cfg.Name,
 		conns:   make(map[i2o.NodeID]*peerConn),
+		reading: make(map[*peerConn]struct{}),
 		addrs:   make(map[i2o.NodeID]string),
 		peers:   make(map[i2o.NodeID]*peer),
 		dialing: make(map[i2o.NodeID]*dialCall),
 		stopc:   make(chan struct{}),
 
-		unbatched: cfg.Unbatched,
-		depth:     cfg.RingDepth,
-		redial:    cfg.Redial.withDefaults(),
+		depth:   cfg.RingDepth,
+		grant:   DefaultCredits,
+		flushAt: i2o.MaxRecordCredits,
 
 		nSent:    cfg.Metrics.Counter(cfg.Name + ".sent"),
 		nRecv:    cfg.Metrics.Counter(cfg.Name + ".recv"),
@@ -417,39 +363,14 @@ func New(node i2o.NodeID, alloc pool.Allocator, cfg Config) (*Transport, error) 
 		nCredRet: cfg.Metrics.Counter(cfg.Name + ".credits.returned"),
 		nCredSnt: cfg.Metrics.Counter(cfg.Name + ".credits.sent"),
 	}
-	t.scratch.New = func() any {
-		return &bulkScratch{
-			buf: make([]byte, 4+bulkCopyLimit),
-			vec: make([][]byte, 0, 16),
-		}
-	}
-	thr := cfg.Threshold
-	t.autoTune.Store(thr == 0)
-	t.rendezvous = thr >= 0 && !cfg.Unbatched
-	if thr <= 0 {
-		thr = DefaultThreshold
-	}
-	t.thr.Store(int64(thr))
-	switch {
-	case cfg.Credits < 0:
-		t.grant = 0
-	case cfg.Credits == 0:
-		t.grant = DefaultCredits
-	default:
-		t.grant = int64(cfg.Credits)
-	}
-	if t.grant > 1<<31-1 {
-		t.grant = 1<<31 - 1
-	}
-	t.flushAt = t.grant / 4
-	if t.flushAt < 1 {
-		t.flushAt = 1
-	}
-	if t.flushAt > i2o.MaxRecordCredits {
-		t.flushAt = i2o.MaxRecordCredits
-	}
+	t.scratch.New = func() any { return &wireScratch{stage: true} }
+	t.autoTune.Store(true)
+	t.thr.Store(DefaultThreshold)
+	// Epochs start at the wall clock so a restarted node's first dial
+	// still outranks whatever its previous incarnation left behind.
+	t.epoch.Store(uint64(time.Now().UnixNano()))
 	cfg.Metrics.Func(cfg.Name+".ring.depth", t.ringDepth)
-	cfg.Metrics.Func(cfg.Name+".rendezvous.threshold", t.thresholdGauge)
+	cfg.Metrics.Func(cfg.Name+".rendezvous.threshold", t.thr.Load)
 	cfg.Metrics.Func(cfg.Name+".credits.available", t.creditsAvailable)
 	for n, a := range cfg.Peers {
 		t.addrs[n] = a
@@ -477,25 +398,13 @@ func (t *Transport) ringDepth() int64 {
 	return n
 }
 
-// thresholdGauge samples the live eager/rendezvous threshold; 0 means the
-// rendezvous lane is disabled.
-func (t *Transport) thresholdGauge() int64 {
-	if !t.rendezvous {
-		return 0
-	}
-	return t.thr.Load()
-}
-
-// creditsAvailable samples the remaining send window summed over peers
-// with flow control active.
+// creditsAvailable samples the remaining send window summed over peers.
 func (t *Transport) creditsAvailable() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64
 	for _, p := range t.peers {
-		if p.limit.Load() > 0 {
-			n += p.credits.Load()
-		}
+		n += p.credits.Load()
 	}
 	return n
 }
@@ -518,9 +427,9 @@ func (t *Transport) AddPeer(node i2o.NodeID, addr string) {
 // SetThreshold pins the eager/rendezvous threshold at runtime: frames at
 // or above n wire bytes take the direct lane, smaller ones coalesce
 // through the ring.  Pinning disables the auto-tuner; n == 0 hands the
-// threshold back to it (from wherever it currently sits).  No effect when
-// the rendezvous lane is disabled.  This is the knob the control-plane
-// autopilot turns on coalescing stats (doc/control-plane.md).
+// threshold back to it (from wherever it currently sits).  This is the
+// knob the control-plane autopilot turns on coalescing stats
+// (doc/control-plane.md).
 func (t *Transport) SetThreshold(n int) {
 	if n > 0 {
 		t.autoTune.Store(false)
@@ -530,9 +439,8 @@ func (t *Transport) SetThreshold(n int) {
 	t.autoTune.Store(true)
 }
 
-// Threshold reports the live eager/rendezvous threshold in wire bytes;
-// 0 means the rendezvous lane is disabled.
-func (t *Transport) Threshold() int { return int(t.thresholdGauge()) }
+// Threshold reports the live eager/rendezvous threshold in wire bytes.
+func (t *Transport) Threshold() int { return int(t.thr.Load()) }
 
 // SetTunable implements pta.Tunable: the remote-actuation path for the
 // transport's runtime knobs.  "threshold" maps to SetThreshold.
@@ -547,11 +455,10 @@ func (t *Transport) SetTunable(key string, value int64) error {
 
 // SetFaults installs a fault injector on the send (enqueue) path; nil
 // removes it.
-func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Store(in) }
+func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Set(in) }
 
-// SetWireFaults installs a fault injector on the wire path: the writer
-// consults it before each vectored write, and a rendezvous send before
-// each bulk write, each lane drawing from its own per-peer stream (the
+// SetWireFaults installs a fault injector on the wire path: put consults
+// it once per batch, each lane drawing from its own per-peer stream (the
 // bulk lane's key is BulkFaultStream) so both schedules stay
 // deterministic.  Drop and Error sever the live connection — a byte stream
 // cannot lose a single frame, so a wire fault kills the whole stream and
@@ -590,86 +497,63 @@ func (t *Transport) deliverFn() pta.Deliver {
 // Send implements pta.PeerTransport.  Every frame first consumes one
 // credit from the peer's window (ErrNoCredit when exhausted).  Small
 // frames enqueue on the peer's send ring and return immediately — the
-// frame then belongs to the writer, which recycles it after the vectored
-// write; a full ring fails with ErrRingFull.  Frames at or above the
-// rendezvous threshold go out synchronously on the bulk lane when the ring
-// is idle, falling back to the ring otherwise to preserve per-sender
-// order.  On any error return the frame's buffer is released but the
-// struct is left intact, so the agent's retry policy can re-attach and
+// frame then belongs to the writer, which recycles it once written; a full
+// ring fails with ErrRingFull.  Frames at or above the rendezvous
+// threshold go out synchronously on the sender's goroutine when the ring
+// is idle (ring.Idle), falling back to the ring otherwise to preserve
+// per-sender order.  On any error return the frame's buffer is released but
+// the struct is left intact, so the agent's retry policy can re-attach and
 // resend it.
 func (t *Transport) Send(dst i2o.NodeID, m *i2o.Message) error {
 	if t.closed.Load() {
 		m.Release()
 		return ErrClosed
 	}
-	dup := false
-	if in := t.flt.Load(); in != nil {
-		// Faults draw from the per-destination stream so the schedule for
-		// each peer is deterministic whatever the dispatcher interleaving.
-		switch act := in.NextFor(uint64(dst)); act.Op {
-		case faults.Drop:
-			m.Release()
-			return nil // lost on the wire
-		case faults.Delay:
-			time.Sleep(act.Delay)
-		case faults.Error:
-			m.Release()
-			return fmt.Errorf("tcp: %w", act.Err)
-		case faults.Duplicate:
-			dup = true
-		}
-	}
-	if t.unbatched {
-		if dup {
-			if err := t.sendDirect(dst, m.Dup()); err != nil {
-				m.Release()
-				return err
-			}
-		}
-		return t.sendDirect(dst, m)
+	copies, err := t.flt.Apply(dst, m)
+	if copies == 0 {
+		return err
 	}
 	p, err := t.peerFor(dst)
 	if err != nil {
 		m.Release()
 		return err
 	}
-	credited := false
-	if p.limit.Load() != 0 {
-		if p.credits.Add(-1) < 0 {
-			p.credits.Add(1)
-			m.Release()
-			t.nStalls.Inc()
-			return ErrNoCredit
-		}
-		credited = true
+	if p.credits.Add(-1) < 0 {
+		p.credits.Add(1)
+		m.Release()
+		t.nStalls.Inc()
+		return ErrNoCredit
 	}
-	if t.rendezvous && m.WireSize() >= int(t.thr.Load()) {
+	// A duplicate is a lost-ack retransmission: an independent, uncredited
+	// clone (its credit return is the clamp's problem, not the window's)
+	// goes out immediately ahead of the original, on the same lane.
+	if size := m.WireSize(); size >= int(t.thr.Load()) {
 		if p.q.Idle() {
-			if dup {
-				// The retransmitted clone goes on the wire immediately
-				// before the original, uncredited (its credit return is
-				// the clamp's problem, not the window's).
-				_ = t.bulkWrite(p, m.Dup())
+			s := t.scratch.Get().(*wireScratch)
+			s.ms = s.ms[:0]
+			if copies == 2 {
+				s.ms = append(s.ms, m.Dup())
 			}
-			return t.sendBulk(p, m, credited)
+			s.ms = append(s.ms, m)
+			sent, err := t.put(p, s, BulkFaultStream(dst))
+			t.scratch.Put(s)
+			t.nRvSends.Add(uint64(sent))
+			t.nRvBytes.Add(uint64(sent * size))
+			return err
 		}
 		// Earlier frames are still on or behind the ring; ride it so
 		// per-sender order holds across the lanes.
 		t.nRvFall.Inc()
 	}
-	if dup {
-		// A lost-ack retransmission: an independent clone rides the ring
-		// just ahead of the original, so the peer sees the frame twice,
-		// back to back.  Ring-full here simply loses the duplicate.
+	if copies == 2 {
+		// Ring-full here simply loses the duplicate.
 		d := m.Dup()
 		if err := p.q.Push(d); err != nil {
 			d.Release()
 		}
 	}
 	if err := p.q.Push(m); err != nil {
-		if credited {
-			p.refill(1)
-		}
+		p.refill(1)
 		m.Release()
 		if errors.Is(err, ring.ErrClosed) {
 			return ErrClosed
@@ -680,148 +564,191 @@ func (t *Transport) Send(dst i2o.NodeID, m *i2o.Message) error {
 	return nil
 }
 
-// sendDirect is the unbatched baseline: encode into a fresh buffer and
-// write it under the connection mutex.  It neither consumes credits nor
-// piggybacks returns — the baseline stays the pre-split data path — but
-// its bare length prefix is a valid record word (zero credit byte).
-func (t *Transport) sendDirect(dst i2o.NodeID, m *i2o.Message) error {
-	defer m.Release()
-	pc, err := t.connTo(dst)
-	if err != nil {
-		return err
-	}
-	size := m.WireSize()
-	buf := make([]byte, 4+size)
-	binary.LittleEndian.PutUint32(buf, uint32(size))
-	if _, err := m.Encode(buf[4:]); err != nil {
-		return err
-	}
-	pc.writeMu.Lock()
-	_, err = pc.c.Write(buf)
-	pc.writeMu.Unlock()
-	if err != nil {
-		t.dropConn(pc)
-		// A broken connection is transient from the agent's view: the next
-		// attempt redials, so the retry policy may recover the frame.
-		return fmt.Errorf("tcp: write to %v: %w (%w)", dst, err, pta.ErrTransient)
-	}
-	t.nSent.Inc()
-	return nil
-}
-
-// sendBulk is the rendezvous lane: wire faults for the bulk stream, then a
-// direct vectored write.  A failed send refunds the frame's credit — the
-// agent's retry re-enters Send and consumes a fresh one.
-func (t *Transport) sendBulk(p *peer, m *i2o.Message, credited bool) error {
-	if in := t.wflt.Load(); in != nil {
-		switch act := in.NextFor(BulkFaultStream(p.node)); act.Op {
+// put is the only place records reach a socket.  It takes the frames in
+// s.ms — the writer's popped batch, a rendezvous send's batch of one, or
+// none at all for a standalone credit return — and sees them onto p's
+// stream in order: the wire-fault draw, then connect, encode (record words
+// carry piggybacked credit returns), one write under the connection's
+// write mutex, and on a broken connection redial with backoff and resend
+// of exactly the records the kernel did not consume whole.  A record either
+// reached the kernel whole or the receiver discards the torn tail with the
+// stream, and a redialed stream is read only after its predecessor's tail
+// (see adopt), so a frame is never delivered twice or out of order.
+//
+// It returns how many frames reached the kernel; those are recycled.  When
+// the rest could not be sent — redial budget exhausted, unencodable, or the
+// transport stopped — they are failed (see fail) and err says why.  A lone
+// record up to bulkCopyLimit is staged contiguously where the scratch
+// allows it (see bulkCopyLimit); anything else is gathered zero-copy:
+// record words and headers from scratch, payload slices (or every segment
+// of an SGL) straight from the frames.
+func (t *Transport) put(p *peer, s *wireScratch, stream uint64) (sent int, err error) {
+	// A standalone credit return rides the live connection or none: it is
+	// not worth a dial, a retry or a fault draw of its own.
+	frames := len(s.ms) > 0
+	if in := t.wflt.Load(); in != nil && frames {
+		switch act := in.NextFor(stream); act.Op {
 		case faults.Delay:
 			time.Sleep(act.Delay)
 		case faults.Drop, faults.Error:
-			t.mu.Lock()
-			pc := t.conns[p.node]
-			t.mu.Unlock()
-			if pc != nil {
-				t.dropConn(pc)
+			if pc, _ := t.connTo(p.node, false); pc != nil {
+				t.retire(pc)
 			}
 		case faults.Duplicate:
-			_ = t.bulkWrite(p, m.Dup())
+			// Retransmit the oldest frame: its clone goes on the wire
+			// immediately before it, like a sender whose ack timer fired
+			// just as the kernel drained the socket.
+			s.ms = append(s.ms, nil)
+			copy(s.ms[1:], s.ms)
+			s.ms[0] = s.ms[1].Dup()
 		}
 	}
-	err := t.bulkWrite(p, m)
-	if err != nil && credited {
-		p.refill(1)
-	}
-	return err
-}
-
-// bulkWrite puts one frame on the wire from the sender's own goroutine,
-// under the connection write mutex.  Frames up to bulkCopyLimit are copied
-// whole into pooled scratch and leave in a single contiguous write: at
-// these sizes the memcpy is cheaper than the extra iovec bookkeeping of a
-// writev (measured — the copying unbatched path beat a two-segment writev
-// up to 4 KiB on this host).  Larger frames go out as a zero-copy writev
-// of record word, header and body segments.  On a broken connection it
-// redials and resends exactly like the writer — the record either reached
-// the kernel whole or the receiver discards the torn tail with the
-// connection, so the frame is never delivered twice.
-func (t *Transport) bulkWrite(p *peer, m *i2o.Message) error {
-	s := t.scratch.Get().(*bulkScratch)
-	defer t.scratch.Put(s)
-	tries := 0
-	for {
+	for tries := 0; ; {
 		if t.closed.Load() {
-			m.Release()
-			return ErrClosed
+			err = ErrClosed
+			break
 		}
-		pc, err := t.connTo(p.node)
-		if err != nil {
-			if errors.Is(err, ErrNoPeer) || errors.Is(err, ErrClosed) || !t.backoff(&tries) {
-				t.nErrs.Inc()
-				m.Release()
-				return err
+		pc, cerr := t.connTo(p.node, frames)
+		if cerr != nil {
+			if !frames || errors.Is(cerr, ErrNoPeer) || errors.Is(cerr, ErrClosed) || !t.backoff(&tries) {
+				err = cerr
+				break
 			}
 			continue
 		}
-		size := m.WireSize()
-		var (
-			n    int64
-			werr error
-		)
-		if size <= bulkCopyLimit {
-			buf := s.buf[:4+size]
-			binary.LittleEndian.PutUint32(buf, i2o.PackRecordWord(size, t.claimOwed(p)))
-			if _, err := m.Encode(buf[4:]); err != nil {
-				t.nErrs.Inc()
-				m.Release()
-				return err
-			}
-			pc.writeMu.Lock()
-			wn, e := pc.c.Write(buf)
-			pc.writeMu.Unlock()
-			n, werr = int64(wn), e
-		} else {
-			h, err := m.EncodeHeader(s.hdr[4:])
-			if err != nil {
-				t.nErrs.Inc()
-				m.Release()
-				return err
-			}
-			binary.LittleEndian.PutUint32(s.hdr[:4], i2o.PackRecordWord(size, t.claimOwed(p)))
-			s.vec = append(s.vec[:0], s.hdr[:4+h])
-			s.vec = m.AppendBody(s.vec)
-			s.bufs = net.Buffers(s.vec)
-			pc.writeMu.Lock()
-			n, werr = s.bufs.WriteTo(pc.c)
-			pc.writeMu.Unlock()
-			// WriteTo consumes through the shared backing array; clear
-			// the leftovers so the pooled scratch never pins payload
-			// blocks.
-			s.bufs = nil
-			for i := range s.vec {
-				s.vec[i] = nil
-			}
+
+		staged := len(s.ms) == 0 || s.stage && len(s.ms) == 1 && s.ms[0].WireSize() <= bulkCopyLimit
+		if need := max(len(s.ms)*recordHeader, 4+bulkCopyLimit); cap(s.hdr) < need {
+			s.hdr = make([]byte, 0, need)
 		}
-		if werr != nil {
-			t.dropConn(pc)
-			if n < int64(4+size) {
-				// Nothing delivered: a torn record dies with the stream.
-				if !t.backoff(&tries) {
-					t.nErrs.Inc()
-					m.Release()
-					return fmt.Errorf("tcp: bulk write to %v: %w (%w)", p.node, werr, pta.ErrTransient)
-				}
+		// Locals, not fields, in the per-frame loop: it is the writer's
+		// hot path.
+		hdr, vec, sizes, kept := s.hdr[:0], s.vec[:0], s.sizes[:0], s.ms[:0]
+		for _, m := range s.ms {
+			off, size := len(hdr), m.WireSize()
+			var h int
+			if staged {
+				hdr = hdr[:off+4+size]
+				h, err = m.Encode(hdr[off+4:])
+			} else {
+				hdr = hdr[:off+recordHeader]
+				h, err = m.EncodeHeader(hdr[off+4:])
+			}
+			if err != nil {
+				hdr = hdr[:off]
+				t.fail(p, m)
 				continue
 			}
-			// The kernel consumed the whole record before the error: the
-			// frame may have reached the peer, so it counts as sent.
+			binary.LittleEndian.PutUint32(hdr[off:], i2o.PackRecordWord(size, t.claimOwed(p)))
+			hdr = hdr[:off+4+h]
+			if !staged {
+				vec = append(vec, hdr[off:])
+				vec = m.AppendBody(vec)
+			}
+			sizes = append(sizes, 4+size)
+			kept = append(kept, m)
 		}
-		t.nSent.Inc()
-		t.nRvSends.Inc()
-		t.nRvBytes.Add(uint64(size))
-		m.Recycle()
-		return nil
+		if !frames {
+			take := t.claimOwed(p)
+			if take == 0 {
+				return 0, nil
+			}
+			hdr = binary.LittleEndian.AppendUint32(hdr, i2o.PackRecordWord(0, take))
+			sizes = append(sizes, 4)
+		}
+		s.hdr, s.vec, s.sizes, s.ms = hdr, vec, sizes, kept
+		if frames && len(kept) == 0 {
+			return sent, err // nothing encodable left
+		}
+
+		var n int64
+		pc.writeMu.Lock()
+		if staged {
+			var wn int
+			wn, err = pc.c.Write(s.hdr)
+			n = int64(wn)
+		} else {
+			s.bufs = net.Buffers(s.vec)
+			n, err = s.bufs.WriteTo(pc.c)
+		}
+		pc.writeMu.Unlock()
+		// WriteTo consumes through the shared backing array; clear the
+		// leftovers so the scratch iovec never pins payload blocks.
+		s.bufs = nil
+		clear(s.vec)
+
+		// Records the kernel consumed whole may have reached the peer; only
+		// the rest are retried.
+		done := len(s.ms)
+		if err != nil {
+			done = min(framesWritten(s.sizes, n), done)
+		}
+		for _, m := range s.ms[:done] {
+			m.Recycle()
+		}
+		t.nSent.Add(uint64(done))
+		sent += done
+		s.ms = append(s.ms[:0], s.ms[done:]...)
+		if err == nil {
+			return sent, nil
+		}
+		t.retire(pc)
+		if len(s.ms) == 0 {
+			return sent, nil
+		}
+		if !t.backoff(&tries) {
+			// A broken connection is transient from the agent's view: the
+			// next attempt redials, so its retry policy may recover the frame.
+			err = fmt.Errorf("tcp: write to %v: %w (%w)", p.node, err, pta.ErrTransient)
+			break
+		}
 	}
+	for _, m := range s.ms {
+		t.fail(p, m)
+	}
+	s.ms = s.ms[:0]
+	return sent, err
+}
+
+// fail gives up on a frame put could not send: it counts as a send error,
+// its credit goes back to the window (a no-op when the connection died and
+// retire already reset the window), and its buffer is released — the struct
+// stays intact for the agent's retry when the frame came in on the sender's
+// goroutine.
+func (t *Transport) fail(p *peer, m *i2o.Message) {
+	t.nErrs.Inc()
+	p.refill(1)
+	m.Release()
+}
+
+// framesWritten counts the leading records fully covered by n bytes of a
+// write.
+func framesWritten(sizes []int, n int64) int {
+	done := 0
+	for _, s := range sizes {
+		if n < int64(s) {
+			break
+		}
+		n -= int64(s)
+		done++
+	}
+	return done
+}
+
+// backoff sleeps out the redial delay for the given attempt count and
+// reports whether another attempt is allowed.  It wakes early on Stop.
+func (t *Transport) backoff(tries *int) bool {
+	*tries++
+	if *tries >= redialAttempts {
+		return false
+	}
+	timer := time.NewTimer(min(redialBackoff<<(*tries-1), redialMaxBackoff))
+	select {
+	case <-timer.C:
+	case <-t.stopc:
+		timer.Stop()
+	}
+	return true
 }
 
 // claimOwed drains up to one record word's worth of the credits owed to a
@@ -829,18 +756,12 @@ func (t *Transport) bulkWrite(p *peer, m *i2o.Message) error {
 // that never reaches the peer are simply lost: the connection died with
 // them, and both windows reset on reconnect.
 func (t *Transport) claimOwed(p *peer) int {
-	if p == nil {
-		return 0
-	}
 	for {
 		o := p.owed.Load()
 		if o <= 0 {
 			return 0
 		}
-		take := o
-		if take > i2o.MaxRecordCredits {
-			take = i2o.MaxRecordCredits
-		}
+		take := min(o, i2o.MaxRecordCredits)
 		if p.owed.CompareAndSwap(o, o-take) {
 			t.nCredSnt.Add(uint64(take))
 			return int(take)
@@ -849,38 +770,19 @@ func (t *Transport) claimOwed(p *peer) int {
 }
 
 // returnCredits accrues credits owed to a peer for recycled receive
-// frames, flushing a standalone return when reverse traffic has not
-// piggybacked them away fast enough.
+// frames, flushing a standalone return — an empty put — when reverse
+// traffic has not piggybacked them away fast enough: the one-way-traffic
+// fallback for receivers with nothing to piggyback on.
 func (t *Transport) returnCredits(p *peer, n int64) {
-	if p == nil || n <= 0 || t.grant == 0 || t.closed.Load() {
+	if t.closed.Load() {
 		return
 	}
 	t.nCredRet.Add(uint64(n))
 	if p.owed.Add(n) >= t.flushAt {
-		t.flushCredits(p)
-	}
-}
-
-// flushCredits writes a zero-length record carrying only a credit return —
-// the one-way-traffic fallback for receivers with nothing to piggyback on.
-func (t *Transport) flushCredits(p *peer) {
-	t.mu.Lock()
-	pc := t.conns[p.node]
-	t.mu.Unlock()
-	if pc == nil {
-		return
-	}
-	take := t.claimOwed(p)
-	if take == 0 {
-		return
-	}
-	var w [4]byte
-	binary.LittleEndian.PutUint32(w[:], i2o.PackRecordWord(0, take))
-	pc.writeMu.Lock()
-	_, err := pc.c.Write(w[:])
-	pc.writeMu.Unlock()
-	if err != nil {
-		t.dropConn(pc)
+		s := t.scratch.Get().(*wireScratch)
+		s.ms = s.ms[:0]
+		_, _ = t.put(p, s, 0) // a failed return died with its connection
+		t.scratch.Put(s)
 	}
 }
 
@@ -902,17 +804,6 @@ func (t *Transport) stateLocked(dst i2o.NodeID) *peer {
 	p.credits.Store(grant)
 	t.peers[dst] = p
 	return p
-}
-
-// stateFor is stateLocked for callers that already hold a connection (the
-// read loop's credit accounting); it returns nil only while stopping.
-func (t *Transport) stateFor(dst i2o.NodeID) *peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed.Load() {
-		return nil
-	}
-	return t.stateLocked(dst)
 }
 
 // peerFor returns dst's send state, creating it and starting its writer on
@@ -942,152 +833,34 @@ func (t *Transport) peerFor(dst i2o.NodeID) (*peer, error) {
 }
 
 // writeLoop drains one peer's ring: every frame queued since the last
-// write goes out in a single writev.  The scratch buffers (batch slice,
-// header arena, iovec) are reused across batches, so the steady state
-// allocates nothing.  On a broken connection the loop redials and resends
-// the frames the kernel never consumed, preserving order.  Credits owed to
-// the peer piggyback on the record words; abandoned frames do not refund
-// their senders' credits — abandonment means the connection is gone, and
-// dropConn already reset the window.
+// write goes out in a single put.  Stop closes the ring, which wakes the
+// loop to fail whatever is still queued (put refuses a stopped transport)
+// and exit.
 func (t *Transport) writeLoop(p *peer) {
 	defer t.wg.Done()
-	var (
-		pend  = make([]*i2o.Message, 0, t.depth) // unsent frames, oldest first
-		vec   = make([][]byte, 0, 64)            // iovec under construction
-		sizes = make([]int, 0, t.depth)          // per-frame record sizes
-		hdr   []byte                             // prefix+header arena
-		tries int                                // attempts for the current pend
-	)
+	s := &wireScratch{ms: make([]*i2o.Message, 0, t.depth)}
 	for {
-		if len(pend) == 0 {
-			p.q.Done() // batch resolved: reopen the rendezvous gate
-			var closed bool
-			pend, closed = p.q.PopBatch(pend)
-			if len(pend) == 0 {
-				if closed {
-					return
-				}
-				if !p.q.Wait(t.stopc) {
-					t.drainPeer(p, pend)
-					return
-				}
-				continue
-			}
-			tries = 0
-		}
-		if t.closed.Load() {
-			t.failFrames(pend)
-			t.drainPeer(p, pend[:0])
+		p.q.Done() // previous batch resolved: reopen the rendezvous gate
+		var closed bool
+		s.ms, closed = p.q.PopBatch(s.ms)
+		switch {
+		case len(s.ms) == 0 && closed:
 			return
-		}
-
-		if in := t.wflt.Load(); in != nil {
-			// Wire faults are keyed by the destination peer: each writer
-			// goroutine owns one peer, so its fault stream is a pure
-			// function of that peer's batch sequence.
-			switch act := in.NextFor(uint64(p.node)); act.Op {
-			case faults.Delay:
-				time.Sleep(act.Delay)
-			case faults.Drop, faults.Error:
-				t.mu.Lock()
-				pc := t.conns[p.node]
-				t.mu.Unlock()
-				if pc != nil {
-					t.dropConn(pc)
-				}
-			case faults.Duplicate:
-				// Retransmit the oldest unsent frame: its clone goes on the
-				// wire immediately before it, like a sender whose ack timer
-				// fired just as the kernel drained the socket.
-				pend = append(pend, nil)
-				copy(pend[1:], pend)
-				pend[0] = pend[1].Dup()
+		case len(s.ms) == 0:
+			p.q.Wait(nil)
+		default:
+			if sent, _ := t.put(p, s, uint64(p.node)); sent > 0 {
+				t.nWrites.Inc()
+				t.nBatched.Add(uint64(sent))
+				t.tuneThreshold(sent)
 			}
 		}
-
-		pc, err := t.connTo(p.node)
-		if err != nil {
-			if errors.Is(err, ErrNoPeer) || errors.Is(err, ErrClosed) || !t.backoff(&tries) {
-				t.failFrames(pend)
-				pend = pend[:0]
-			}
-			continue
-		}
-
-		// Build the batch: for each frame a [record word|header] slice from
-		// the arena, then the body — flat payload or SGL segments — appended
-		// zero-copy, then padding.
-		if need := len(pend) * recordHeader; cap(hdr) < need {
-			hdr = make([]byte, 0, need)
-		}
-		hdr, vec, sizes = hdr[:0], vec[:0], sizes[:0]
-		kept := pend[:0]
-		for _, m := range pend {
-			off := len(hdr)
-			hdr = hdr[:off+recordHeader]
-			h, err := m.EncodeHeader(hdr[off+4:])
-			if err != nil {
-				hdr = hdr[:off]
-				t.nErrs.Inc()
-				p.refill(1) // unencodable frames never fly; undo their credit
-				m.Recycle()
-				continue
-			}
-			size := m.WireSize()
-			binary.LittleEndian.PutUint32(hdr[off:], i2o.PackRecordWord(size, t.claimOwed(p)))
-			hdr = hdr[:off+4+h]
-			vec = append(vec, hdr[off:off+4+h])
-			vec = m.AppendBody(vec)
-			sizes = append(sizes, 4+size)
-			kept = append(kept, m)
-		}
-		pend = kept
-		if len(pend) == 0 {
-			continue
-		}
-
-		bufs := net.Buffers(vec)
-		pc.writeMu.Lock()
-		n, err := bufs.WriteTo(pc.c)
-		pc.writeMu.Unlock()
-		// WriteTo consumes through the shared backing array; clear the
-		// leftover entries so the scratch iovec never pins payload blocks
-		// across batches.
-		for i := range vec {
-			vec[i] = nil
-		}
-		if err != nil {
-			t.dropConn(pc)
-			// Frames fully consumed by the kernel may have reached the
-			// peer; only the rest are retried, so a frame is never sent
-			// twice and order is preserved.
-			done := framesWritten(sizes, n)
-			for _, m := range pend[:done] {
-				m.Recycle()
-			}
-			t.nSent.Add(uint64(done))
-			pend = append(pend[:0], pend[done:]...)
-			if !t.backoff(&tries) {
-				t.failFrames(pend)
-				pend = pend[:0]
-			}
-			continue
-		}
-		t.nWrites.Inc()
-		t.nBatched.Add(uint64(len(pend)))
-		t.nSent.Add(uint64(len(pend)))
-		t.tuneThreshold(len(pend), int(n))
-		for _, m := range pend {
-			m.Recycle()
-		}
-		pend = pend[:0]
-		tries = 0
 	}
 }
 
 // tuneThreshold adapts the eager/rendezvous split to the writer's measured
 // batch shape (an EWMA over the batch.* metrics' inputs).  The signal is
-// frames per writev: when batches degenerate to one or two frames, the
+// frames per batch: when batches degenerate to one or two frames, the
 // ring hop amortizes nothing and the threshold halves so near-threshold
 // frames take the direct lane instead; when many frames share each
 // syscall again, the threshold doubles back toward its DefaultThreshold
@@ -1096,16 +869,13 @@ func (t *Transport) writeLoop(p *peer) {
 // trigger: a byte-heavy batch of many small frames is coalescing at its
 // best, not a reason to divert traffic.  Mis-tuned states self-correct
 // within a few batches.
-func (t *Transport) tuneThreshold(frames, bytes int) {
+func (t *Transport) tuneThreshold(frames int) {
 	if !t.autoTune.Load() {
 		return
 	}
 	af := t.avgFrames.Load()
 	af += (int64(frames)<<4 - af) >> 3
 	t.avgFrames.Store(af)
-	ab := t.avgBytes.Load()
-	ab += (int64(bytes)<<4 - ab) >> 3
-	t.avgBytes.Store(ab)
 	thr := t.thr.Load()
 	switch {
 	case af>>4 >= tuneFrameFloor && thr < DefaultThreshold:
@@ -1115,59 +885,10 @@ func (t *Transport) tuneThreshold(frames, bytes int) {
 	}
 }
 
-// framesWritten counts the leading frames fully covered by n bytes of a
-// partial write.
-func framesWritten(sizes []int, n int64) int {
-	done := 0
-	for _, s := range sizes {
-		if n < int64(s) {
-			break
-		}
-		n -= int64(s)
-		done++
-	}
-	return done
-}
-
-// backoff sleeps out the redial delay for the given attempt count and
-// reports whether another attempt is allowed.  It wakes early on Stop.
-func (t *Transport) backoff(tries *int) bool {
-	*tries++
-	if *tries >= t.redial.Attempts {
-		return false
-	}
-	d := t.redial.Backoff << (*tries - 1)
-	if d > t.redial.MaxBackoff {
-		d = t.redial.MaxBackoff
-	}
-	timer := time.NewTimer(d)
-	select {
-	case <-timer.C:
-	case <-t.stopc:
-		timer.Stop()
-	}
-	return true
-}
-
-// failFrames drops frames the writer could not deliver.
-func (t *Transport) failFrames(ms []*i2o.Message) {
-	for _, m := range ms {
-		t.nErrs.Inc()
-		m.Recycle()
-	}
-}
-
-// drainPeer empties a closed ring, recycling the stranded frames.
-func (t *Transport) drainPeer(p *peer, scratch []*i2o.Message) {
-	items, _ := p.q.PopBatch(scratch)
-	t.failFrames(items)
-	p.q.Done()
-}
-
-// connTo returns the connection to dst, dialing if necessary.  Concurrent
-// callers (bulk or unbatched senders, or a writer racing the accept side)
-// share a single in-flight dial.
-func (t *Transport) connTo(dst i2o.NodeID) (*peerConn, error) {
+// connTo returns the connection to dst.  With dial set it opens one when
+// there is none; concurrent callers (rendezvous senders, or a writer
+// racing the accept side) share a single in-flight dial.
+func (t *Transport) connTo(dst i2o.NodeID, dial bool) (*peerConn, error) {
 	for {
 		t.mu.Lock()
 		if pc, ok := t.conns[dst]; ok {
@@ -1177,6 +898,10 @@ func (t *Transport) connTo(dst i2o.NodeID) (*peerConn, error) {
 		if t.closed.Load() {
 			t.mu.Unlock()
 			return nil, ErrClosed
+		}
+		if !dial {
+			t.mu.Unlock()
+			return nil, ErrNoPeer
 		}
 		if d, ok := t.dialing[dst]; ok {
 			t.mu.Unlock()
@@ -1198,7 +923,9 @@ func (t *Transport) connTo(dst i2o.NodeID) (*peerConn, error) {
 		t.dialing[dst] = d
 		t.mu.Unlock()
 
-		d.pc, d.err = t.dial(dst, addr)
+		ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+		d.pc, d.err = t.open(ctx, addr, dst)
+		cancel()
 		t.mu.Lock()
 		delete(t.dialing, dst)
 		t.mu.Unlock()
@@ -1207,34 +934,44 @@ func (t *Transport) connTo(dst i2o.NodeID) (*peerConn, error) {
 	}
 }
 
-// dial opens, handshakes and adopts one connection to dst.
-func (t *Transport) dial(dst i2o.NodeID, addr string) (*peerConn, error) {
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+// open dials addr under a fresh epoch, handshakes, and adopts the stream.
+// want names the node expected to answer; zero accepts whoever does (but
+// never ourselves) and registers addr as that node's dial address.
+func (t *Transport) open(ctx context.Context, addr string, want i2o.NodeID) (*peerConn, error) {
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("tcp: dial %v at %s: %w (%w)", dst, addr, err, pta.ErrTransient)
+		return nil, fmt.Errorf("tcp: dial %s: %w (%w)", addr, err, pta.ErrTransient)
 	}
+	c := nc.(*net.TCPConn) // what the "tcp" network dials
 	t.nDials.Inc()
-	// Send our identity and credit grant, read theirs.
-	if err := t.writeHello(c); err != nil {
+	epoch := t.epoch.Add(1)
+	if err := t.writeHello(c, epoch); err != nil {
 		c.Close()
 		return nil, err
 	}
-	peer, grant, err := readHello(c)
+	peer, grant, _, err := readHello(c)
+	switch {
+	case err != nil:
+	case want != 0 && peer != want:
+		err = fmt.Errorf("%w: dialed %v, got %v", ErrHandshake, want, peer)
+	case peer == t.node:
+		err = fmt.Errorf("%w: %s is ourselves (node %v)", ErrHandshake, addr, peer)
+	}
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if peer != dst {
-		c.Close()
-		return nil, fmt.Errorf("%w: dialed %v, got %v", ErrHandshake, dst, peer)
+	if want == 0 {
+		t.AddPeer(peer, addr)
 	}
-	return t.adopt(peer, grant, c, t.node)
+	return t.adopt(&peerConn{node: peer, initiator: t.node, epoch: epoch, c: c, grant: grant})
 }
 
 // Identify dials addr, handshakes, and adopts the connection for
-// whichever node answers — the inverse of dial, which requires knowing
-// the peer's identity up front.  It returns the peer's node id after
-// registering addr as its dial address, so the cluster bootstrap can
+// whichever node answers — the inverse of a send's dial, which requires
+// knowing the peer's identity up front.  It returns the peer's node id
+// after registering addr as its dial address, so the cluster bootstrap can
 // rendezvous with a seed member knowing only "host:port".  The context
 // bounds the dial; the handshake itself rides the connection's own
 // deadline handling.
@@ -1242,131 +979,139 @@ func (t *Transport) Identify(ctx context.Context, addr string) (i2o.NodeID, erro
 	if t.closed.Load() {
 		return 0, ErrClosed
 	}
-	d := net.Dialer{Timeout: dialTimeout}
-	c, err := d.DialContext(ctx, "tcp", addr)
+	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
+	defer cancel()
+	pc, err := t.open(ctx, addr, 0)
 	if err != nil {
-		return 0, fmt.Errorf("tcp: identify %s: %w (%w)", addr, err, pta.ErrTransient)
-	}
-	t.nDials.Inc()
-	if err := t.writeHello(c); err != nil {
-		c.Close()
 		return 0, err
 	}
-	peer, grant, err := readHello(c)
-	if err != nil {
-		c.Close()
-		return 0, err
-	}
-	if peer == t.node {
-		c.Close()
-		return 0, fmt.Errorf("%w: %s is ourselves (node %v)", ErrHandshake, addr, peer)
-	}
-	t.AddPeer(peer, addr)
-	if _, err := t.adopt(peer, grant, c, t.node); err != nil {
-		return 0, err
-	}
-	return peer, nil
+	return pc.node, nil
 }
 
-func (t *Transport) writeHello(c net.Conn) error {
+// writeHello sends our identity and credit grant with the stream's epoch:
+// the initiator's fresh one, echoed back by the acceptor.
+func (t *Transport) writeHello(c net.Conn, epoch uint64) error {
 	var hello [helloSize]byte
 	copy(hello[:8], magic[:])
 	binary.LittleEndian.PutUint32(hello[8:], uint32(t.node))
 	binary.LittleEndian.PutUint32(hello[12:], uint32(t.grant))
+	binary.LittleEndian.PutUint64(hello[16:], epoch)
 	if _, err := c.Write(hello[:]); err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
 	return nil
 }
 
-func readHello(c net.Conn) (i2o.NodeID, uint32, error) {
+func readHello(c net.Conn) (node i2o.NodeID, grant uint32, epoch uint64, err error) {
+	// The magic is checked before the rest is awaited: a peer speaking an
+	// older protocol sends a shorter hello and must be refused, not waited on.
 	var hello [helloSize]byte
-	if _, err := io.ReadFull(c, hello[:]); err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrHandshake, err)
+	if _, err := io.ReadFull(c, hello[:8]); err != nil {
+		// The peer hung up unanswered: a refusal (see adopt), or a
+		// connection lost mid-handshake.  Either way the next dial may fare
+		// better.
+		return 0, 0, 0, fmt.Errorf("%w: %v (%w)", ErrHandshake, err, pta.ErrTransient)
 	}
 	if [8]byte(hello[:8]) != magic {
-		return 0, 0, fmt.Errorf("%w: bad magic", ErrHandshake)
+		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrHandshake)
 	}
-	node := i2o.NodeID(binary.LittleEndian.Uint32(hello[8:]))
-	grant := binary.LittleEndian.Uint32(hello[12:])
-	return node, grant, nil
+	if _, err := io.ReadFull(c, hello[8:]); err != nil {
+		return 0, 0, 0, fmt.Errorf("%w: %v (%w)", ErrHandshake, err, pta.ErrTransient)
+	}
+	node = i2o.NodeID(binary.LittleEndian.Uint32(hello[8:]))
+	grant = binary.LittleEndian.Uint32(hello[12:])
+	if grant == 0 {
+		return 0, 0, 0, fmt.Errorf("%w: zero credit grant", ErrHandshake)
+	}
+	return node, grant, binary.LittleEndian.Uint64(hello[16:]), nil
 }
 
-// adopt registers a live connection and starts its read loop.  On a
-// simultaneous-connect race — both nodes dialed each other at once, so two
-// streams exist — both sides apply the same tie-break and keep the stream
-// dialed by the lower node id; picking deterministically means the peers
-// agree on the surviving stream instead of each closing the one the other
-// kept (which churns connections until the race happens to resolve).  When
-// the same initiator shows up twice the newer stream wins: the initiator
-// only redials after dropping the old one, so the old one is dead.
+// adopt registers a handshaken stream, makes it the one sends to its peer
+// go out on, and starts its reader.  It returns the stream now current for
+// the peer, which is not pc when pc lost:
+//
+//   - Two streams from the same initiator: the higher epoch wins.  The
+//     initiator only redials after giving the old stream up, so a lower
+//     epoch showing up late is a stale dial and is refused.
+//   - A simultaneous connect — both nodes dialed each other at once: both
+//     sides keep the stream dialed by the lower node id; picking
+//     deterministically means the peers agree on the survivor instead of
+//     each closing the one the other kept.
+//
+// A losing pc is closed unanswered (the accept side adopts before it sends
+// its hello), so its initiator sees a failed handshake before it has sent
+// a frame on it, and retries.  A superseded stream is retired, not closed:
+// frames its sender already counted as sent may still be unread in the
+// socket, so its reader finishes the tail, and pc's reader starts only
+// once it has — a peer's streams are delivered strictly one after another,
+// in adoption order, which is what keeps a redialed stream's frames behind
+// its predecessor's.
 //
 // Adoption also resets the peer's credit account to the fresh grant:
-// credits consumed or owed on the dead stream died with it, and both sides
+// credits consumed or owed on the old stream died with it, and both sides
 // re-grant on reconnect so the windows stay in agreement.
-func (t *Transport) adopt(peer i2o.NodeID, grant uint32, c net.Conn, initiator i2o.NodeID) (*peerConn, error) {
-	pc := &peerConn{node: peer, initiator: initiator, c: c, grant: grant}
+func (t *Transport) adopt(pc *peerConn) (*peerConn, error) {
+	accepted := pc.initiator != t.node
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
-		c.Close()
+		pc.c.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := t.conns[peer]; ok {
-		keepNew := existing.initiator == pc.initiator
-		if !keepNew {
-			low := min(t.node, peer)
-			keepNew = pc.initiator == low
+	old := t.conns[pc.node]
+	if old != nil {
+		keep := pc.initiator == min(t.node, pc.node)
+		if old.initiator == pc.initiator {
+			keep = pc.epoch > old.epoch
 		}
-		if !keepNew {
+		if !keep {
 			t.mu.Unlock()
-			c.Close()
-			return existing, nil
+			pc.c.Close()
+			return old, nil
 		}
-		delete(t.conns, peer)
-		t.conns[peer] = pc
-		if p := t.peers[peer]; p != nil {
-			p.limit.Store(int64(grant))
-			p.credits.Store(int64(grant))
-			p.owed.Store(0)
-		}
-		t.mu.Unlock()
-		existing.c.Close() // its readLoop exits; dropConn is a no-op now
-	} else {
-		t.conns[peer] = pc
-		if p := t.peers[peer]; p != nil {
-			p.limit.Store(int64(grant))
-			p.credits.Store(int64(grant))
-			p.owed.Store(0)
-		}
-		t.mu.Unlock()
 	}
+	p := t.stateLocked(pc.node)
+	p.limit.Store(int64(pc.grant))
+	p.credits.Store(int64(pc.grant))
+	p.owed.Store(0)
+	pc.done = make(chan struct{})
+	pc.after, p.tail = p.tail, pc.done
+	t.conns[pc.node] = pc
+	t.reading[pc] = struct{}{}
 	t.wg.Add(1)
-	go t.readLoop(pc)
+	if accepted {
+		// Senders can find pc from here on; hold them off until the hello
+		// is on the wire ahead of their records.
+		pc.writeMu.Lock()
+	}
+	t.mu.Unlock()
+	if old != nil {
+		t.retire(old)
+	}
+	if accepted {
+		_ = t.writeHello(pc.c, pc.epoch) // a dead stream is the reader's to find
+		pc.writeMu.Unlock()
+	}
+	go t.readLoop(pc, p)
 	return pc, nil
 }
 
-// Conns returns the number of live identified connections.  Each one's
-// readLoop holds one pooled receive block while the connection is open, so
-// pool-population audits (the chaos harness's leak checker) subtract the
-// live-connection count before comparing against a baseline: failover and
-// redial legitimately move it.
-func (t *Transport) Conns() int {
+// retire takes pc out of service without discarding a byte either kernel
+// has accepted — an injected sever, a write error and a superseding stream
+// all end here.  Sends stop using it, its write side is shut so the peer's
+// reader sees EOF behind everything already written, and its own reader
+// gets drainTimeout to finish the peer's tail; the reader, not retire,
+// closes the socket.
+//
+// The credit account dies with the stream: consumed credits whose frames
+// were lost in flight would otherwise leak the window shut — and an
+// exhausted window with no live connection would refuse every Send before
+// anything redials, wedging the link for good.  Resetting here is safe
+// because the next handshake re-grants both sides anyway.
+func (t *Transport) retire(pc *peerConn) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
-}
-
-// dropConn retires a dead connection.  The credit account dies with the
-// stream: consumed credits whose frames were lost in flight would
-// otherwise leak the window shut — and an exhausted window with no live
-// connection would refuse every Send before anything redials, wedging the
-// link for good.  Resetting here is safe because the next handshake
-// re-grants both sides anyway.
-func (t *Transport) dropConn(pc *peerConn) {
-	t.mu.Lock()
-	dropped := t.conns[pc.node] == pc
-	if dropped {
+	current := t.conns[pc.node] == pc
+	if current {
 		delete(t.conns, pc.node)
 		if p := t.peers[pc.node]; p != nil {
 			p.credits.Store(p.limit.Load())
@@ -1374,10 +1119,21 @@ func (t *Transport) dropConn(pc *peerConn) {
 		}
 	}
 	t.mu.Unlock()
-	if dropped {
+	if current {
 		t.nDrops.Inc()
 	}
-	pc.c.Close()
+	_ = pc.c.CloseWrite()
+	_ = pc.c.SetReadDeadline(time.Now().Add(drainTimeout))
+}
+
+// Conns returns the number of streams with a reader.  Each reader holds
+// one pooled receive block while its stream is open, so pool-population
+// audits (the chaos harness's leak checker) subtract the count before
+// comparing against a baseline: failover and redial legitimately move it.
+func (t *Transport) Conns() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.reading)
 }
 
 func (t *Transport) acceptLoop() {
@@ -1390,17 +1146,14 @@ func (t *Transport) acceptLoop() {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			peer, grant, err := readHello(c)
-			if err != nil {
-				c.Close()
-				return
-			}
-			if err := t.writeHello(c); err != nil {
+			peer, grant, epoch, err := readHello(c)
+			if err != nil || peer == t.node { // garbage, or a dial that looped back to us
 				c.Close()
 				return
 			}
 			t.nAccs.Inc()
-			_, _ = t.adopt(peer, grant, c, peer)
+			// What a "tcp" listener accepts is a *net.TCPConn.
+			_, _ = t.adopt(&peerConn{node: peer, initiator: peer, epoch: epoch, c: c.(*net.TCPConn), grant: grant})
 		}()
 	}
 }
@@ -1439,17 +1192,17 @@ func (b *recvBlock) drop() {
 	}
 }
 
-// readLoop streams records out of one connection.  Bytes land in a 256 KB
+// readLoop streams records out of one connection, once the peer's
+// previous stream has been read out (see adopt).  Bytes land in a 256 KB
 // pool block; frames decode in place and retain the block (via its credit
 // wrapper), so one block backs every frame it holds and recycles itself
 // when the last consumer releases.  The loop rewinds the block only when
 // it is the sole owner and moves a partial record to a fresh block
 // otherwise — delivered payloads are never overwritten.  Credit returns
-// arriving on record words refill the send window toward this peer.
-func (t *Transport) readLoop(pc *peerConn) {
-	defer t.wg.Done()
-	defer t.dropConn(pc)
-	p := t.stateFor(pc.node) // nil only while stopping
+// arriving on record words refill the send window toward this peer.  The
+// reader owns the socket: it alone closes it, on EOF, a read error, a
+// protocol violation or Stop.
+func (t *Transport) readLoop(pc *peerConn, p *peer) {
 	var (
 		rb         *recvBlock
 		data       []byte
@@ -1459,6 +1212,13 @@ func (t *Transport) readLoop(pc *peerConn) {
 		if rb != nil {
 			rb.drop()
 		}
+		t.retire(pc)
+		pc.c.Close()
+		t.mu.Lock()
+		delete(t.reading, pc)
+		t.mu.Unlock()
+		close(pc.done)
+		t.wg.Done()
 	}()
 	newBlock := func() bool {
 		b, err := t.alloc.Alloc(readBlockSize)
@@ -1479,6 +1239,13 @@ func (t *Transport) readLoop(pc *peerConn) {
 	if !newBlock() {
 		return
 	}
+	if pc.after != nil {
+		select {
+		case <-pc.after:
+		case <-t.stopc:
+			return
+		}
+	}
 	for {
 		// Decode every complete record in the block.
 		for end-start >= 4 {
@@ -1487,10 +1254,7 @@ func (t *Transport) readLoop(pc *peerConn) {
 				if cred == 0 {
 					return // all-zero word: protocol violation
 				}
-				// Standalone credit return.
-				if p != nil {
-					p.refill(int64(cred))
-				}
+				p.refill(int64(cred)) // standalone credit return
 				start += 4
 				continue
 			}
@@ -1500,7 +1264,7 @@ func (t *Transport) readLoop(pc *peerConn) {
 			if end-start < 4+size {
 				break
 			}
-			if cred > 0 && p != nil {
+			if cred > 0 {
 				p.refill(int64(cred)) // piggybacked return
 			}
 			m, _, err := i2o.DecodeAcquired(data[start+4 : start+4+size])
@@ -1569,7 +1333,7 @@ func (t *Transport) Stop() error {
 	for _, p := range t.peers {
 		p.q.Close()
 	}
-	for _, pc := range t.conns {
+	for pc := range t.reading {
 		pc.c.Close()
 	}
 	t.mu.Unlock()

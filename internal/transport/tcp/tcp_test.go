@@ -1,8 +1,8 @@
 package tcp
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -192,11 +192,11 @@ func TestOversizeRecordDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hello := append(append([]byte{}, magic[:]...), 9, 0, 0, 0, 1, 0, 0, 0)
+	hello := append(append([]byte{}, magic[:]...), 9, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 	if _, err := c.Write(hello); err != nil {
 		t.Fatal(err)
 	}
-	var back [16]byte
+	var back [helloSize]byte
 	if _, err := readFull(c, back[:]); err != nil {
 		t.Fatal(err)
 	}

@@ -268,20 +268,3 @@ func (n *Node) message(target TID, xfunc uint16, payload []byte) (*Message, erro
 	m.XFunction = xfunc
 	return m, nil
 }
-
-// ListenTCP attaches a TCP peer transport listening on addr.
-//
-// Deprecated: use Listen, which returns the same Listener.  ListenTCP
-// survives one release as a thin wrapper and then goes away.
-func (n *Node) ListenTCP(addr string) (*Listener, error) {
-	return n.Listen(addr)
-}
-
-// AddTCPPeer maps a remote node to its TCP address and routes frames for
-// it over the listener's transport.
-//
-// Deprecated: use Listener.AddPeer.  AddTCPPeer survives one release as
-// a thin wrapper and then goes away.
-func (n *Node) AddTCPPeer(l *Listener, node NodeID, addr string) {
-	l.AddPeer(node, addr)
-}

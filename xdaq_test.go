@@ -243,32 +243,6 @@ func TestQuickstartTCPFabric(t *testing.T) {
 	}
 }
 
-func TestDeprecatedListenTCP(t *testing.T) {
-	// The pre-redesign entry points must keep working for one release.
-	a, b := pair(t, func(a, b *Node) error {
-		la, err := a.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		lb, err := b.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		a.AddTCPPeer(la, 2, lb.Addr())
-		b.AddTCPPeer(lb, 1, la.Addr())
-		return nil
-	})
-	plugEcho(t, b)
-	target, err := a.Discover(2, "echo", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.Call(target, 1, []byte("legacy"))
-	if err != nil || string(got) != "legacy" {
-		t.Fatalf("%q %v", got, err)
-	}
-}
-
 func TestQuickstartShm(t *testing.T) {
 	dir := t.TempDir()
 	a, b := pair(t, func(a, b *Node) error { return Connect(Shm(dir), Nodes(a, b)) })
