@@ -1,13 +1,20 @@
 # Development entry points.  `make check` is the gate every change must
-# pass: vet, full build, full test suite, and the race detector on the
+# pass: vet, full build, full test suite, the race detector on the
 # packages with the most concurrency (dispatch workers, scheduler,
-# transport agent, metrics hot path).
+# transport agent, metrics hot path), the short soaks, and the
+# unlinked-code ratchet.
 
 GO ?= go
 
-.PHONY: check build test flake vet race cover soak-short fuzz bench bench-remote bench-cluster bench-eb bench-storage bench-gate benchall
+# VMEM caps the address space of the non-race test runs at 3 GiB, so a
+# runaway allocation dies with a Go stack trace that names it instead of
+# being OOM-killed by the kernel.  The -race pass runs without it: the
+# race runtime reserves far more address space than that.
+VMEM := ulimit -v 3145728
 
-check: vet build test race soak-short
+.PHONY: check build test flake vet race cover soak-short fuzz unlinked bench bench-remote bench-cluster bench-eb bench-storage bench-gate benchall
+
+check: vet build test race soak-short unlinked
 
 build:
 	$(GO) build ./...
@@ -16,17 +23,29 @@ vet:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./...
+	$(VMEM) && $(GO) test ./...
 
-# flake runs the tier-1 suite FLAKE_N times over, uncached, and fails on the
-# first red run: green must mean green on every run (ROADMAP aim 3), and an
-# intermittent failure only shows when the suite is repeated.
+# flake runs the tier-1 suite FLAKE_N times over, uncached, under the
+# VMEM ceiling: green must mean green on every run (ROADMAP aim 3), and an
+# intermittent failure only shows when the suite is repeated.  Every run's
+# `go test -json` output is kept as flake/run-N.json; a red run prints the
+# names and full output of its failed tests (cmd/flakereport) and the loop
+# goes on, so the target reports how many of the FLAKE_N runs were red and
+# fails if any was.
 FLAKE_N ?= 10
 flake:
-	@for i in $$(seq 1 $(FLAKE_N)); do \
+	@mkdir -p flake; reds=0; \
+	for i in $$(seq 1 $(FLAKE_N)); do \
 		echo "flake: run $$i of $(FLAKE_N)"; \
-		$(GO) test -count=1 ./... || { echo "flake: run $$i failed"; exit 1; }; \
-	done
+		if ! ($(VMEM) && $(GO) test -count=1 -json ./... > flake/run-$$i.json 2> flake/run-$$i.stderr); then \
+			reds=$$((reds + 1)); \
+			echo "flake: run $$i red (flake/run-$$i.json)"; \
+			cat flake/run-$$i.stderr; \
+			$(GO) run ./cmd/flakereport flake/run-$$i.json; \
+		fi; \
+	done; \
+	echo "flake: $$reds of $(FLAKE_N) runs red"; \
+	test $$reds -eq 0
 
 race:
 	$(GO) test -race ./internal/executive/ ./internal/queue/ ./internal/pta/ ./internal/metrics/ ./internal/health/ ./internal/transport/tcp/ ./internal/transport/gm/ ./internal/transport/shm/ ./internal/cluster/ ./internal/chaos/ ./internal/daq/ ./internal/storage/ ./internal/controlplane/ ./internal/e2e/
@@ -62,14 +81,29 @@ soak-short:
 	$(GO) run -race ./cmd/xdaqsoak -seed 606 -duration 5s -rounds 3 -fabric loopback -faults none -kill=false -hotdev -killcp -q
 
 # fuzz gives each fuzz target a short exploration budget on top of its checked-in
-# seed corpus; lengthen with FUZZTIME=1m for a real session.
+# seed corpus; lengthen with FUZZTIME=1m for a real session.  Every func Fuzz*
+# in the tree must have a line here (TestMakeFuzzRunsEveryTarget).
 FUZZTIME ?= 10s
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/i2o/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAcquired$$' -fuzztime $(FUZZTIME) ./internal/i2o/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParams$$' -fuzztime $(FUZZTIME) ./internal/i2o/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFail$$' -fuzztime $(FUZZTIME) ./internal/i2o/
 	$(GO) test -run '^$$' -fuzz '^FuzzSGLRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/sgl/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRecords$$' -fuzztime $(FUZZTIME) ./internal/daq/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicy$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzEval$$' -fuzztime $(FUZZTIME) ./internal/tclish/
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitList$$' -fuzztime $(FUZZTIME) ./internal/tclish/
+
+# unlinked is the dead-code ratchet: it builds every binary (cmd/*,
+# examples/*, bench and a stub holding the xdaq API) with inlining off and
+# fails when a non-test function that none of them links is missing from
+# cmd/unlinked/allowlist.txt, or when an allowlisted one is linked again.
+# A cold build of all binaries takes about 45 s on 2 vCPUs, which is why it
+# runs in `make check` and not in the tier-1 `go test`.
+unlinked:
+	$(GO) run ./cmd/unlinked
 
 # bench runs the dispatch-engine benchmarks (hot-path allocations, worker
 # scaling, watchdog overhead, event builder) and archives the numbers as

@@ -114,10 +114,11 @@ func BenchmarkAllocAblation(b *testing.B) {
 
 // Raw allocator microbenchmarks backing the ablation.
 func BenchmarkPoolAlloc(b *testing.B) {
-	allocs := map[string]pool.Allocator{
-		"fixed": pool.MustFixed(pool.DefaultFixedClasses()),
-		"table": pool.NewTable(0),
+	fixed, err := pool.NewFixed(pool.DefaultFixedClasses())
+	if err != nil {
+		b.Fatal(err)
 	}
+	allocs := map[string]pool.Allocator{"fixed": fixed, "table": pool.NewTable(0)}
 	for _, name := range []string{"fixed", "table"} {
 		a := allocs[name]
 		b.Run(name, func(b *testing.B) {
@@ -280,8 +281,8 @@ func BenchmarkSGL(b *testing.B) {
 				b.Fatal(err)
 			}
 			n := 0
-			if err := l.Walk(func(seg []byte) error { n += len(seg); return nil }); err != nil {
-				b.Fatal(err)
+			for j := 0; j < l.Segments(); j++ {
+				n += len(l.Segment(j))
 			}
 			if n != total {
 				b.Fatalf("walked %d", n)

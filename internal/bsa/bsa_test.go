@@ -226,7 +226,7 @@ func TestDefaultGeometry(t *testing.T) {
 	if vol.Module().Class() != Class || vol.Module().Instance() != 3 {
 		t.Fatal("module identity")
 	}
-	if vol.Module().Params().Int("blocksize", 0) != DefaultBlockSize {
+	if v, _ := vol.Module().Params().Get("blocksize"); v != int64(DefaultBlockSize) {
 		t.Fatal("blocksize parameter")
 	}
 }

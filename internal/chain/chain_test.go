@@ -14,8 +14,18 @@ import (
 	"xdaq/internal/i2o"
 	"xdaq/internal/pool"
 	"xdaq/internal/pta"
+	"xdaq/internal/sgl"
 	"xdaq/internal/transport/gm"
 )
+
+// flat reads a whole transfer body through CopyTo.
+func flat(l *sgl.List) []byte {
+	out := make([]byte, l.Len())
+	if _, err := l.CopyTo(0, out); err != nil {
+		panic(err)
+	}
+	return out
+}
 
 const xferXFunc uint16 = 9
 
@@ -102,8 +112,8 @@ func TestSingleChunkTransfer(t *testing.T) {
 	}
 	tr := rg.wait(t)
 	defer tr.Data.Release()
-	if tr.ID != 1 || !bytes.Equal(tr.Data.Bytes(), data) {
-		t.Fatalf("transfer %d: %q", tr.ID, tr.Data.Bytes())
+	if tr.ID != 1 || !bytes.Equal(flat(tr.Data), data) {
+		t.Fatalf("transfer %d: %q", tr.ID, flat(tr.Data))
 	}
 }
 
@@ -119,7 +129,7 @@ func TestMultiMegabyteTransfer(t *testing.T) {
 	if tr.Data.Len() != len(data) {
 		t.Fatalf("length %d, want %d", tr.Data.Len(), len(data))
 	}
-	if !bytes.Equal(tr.Data.Bytes(), data) {
+	if !bytes.Equal(flat(tr.Data), data) {
 		t.Fatal("content mismatch")
 	}
 	chunks, transfers := rg.reasm.Stats()
@@ -160,7 +170,7 @@ func TestInterleavedTransfers(t *testing.T) {
 	got := map[uint32][]byte{}
 	for len(got) < 2 {
 		tr := rg.wait(t)
-		got[tr.ID] = append([]byte(nil), tr.Data.Bytes()...)
+		got[tr.ID] = append([]byte(nil), flat(tr.Data)...)
 		tr.Data.Release()
 	}
 	if !bytes.Equal(got[11], d1) || !bytes.Equal(got[22], d2) {
@@ -347,7 +357,7 @@ func TestQuickChunkingRoundTrip(t *testing.T) {
 		}
 		select {
 		case tr := <-done:
-			ok := bytes.Equal(tr.Data.Bytes(), data)
+			ok := bytes.Equal(flat(tr.Data), data)
 			tr.Data.Release()
 			return ok
 		case <-time.After(5 * time.Second):

@@ -283,15 +283,6 @@ type Cluster struct {
 	violations []string
 }
 
-// Lossy reports whether frames may legitimately be missing this run:
-// drop faults are armed, a connection was severed, or a transport was
-// killed.  Custom checkers consult it before demanding completeness.
-func (c *Cluster) Lossy() bool { return c.lossy }
-
-// Dups reports whether duplicate faults are armed, i.e. whether a checker
-// must tolerate bounded frame duplication.
-func (c *Cluster) Dups() bool { return c.dups }
-
 // violate records one invariant violation.
 func (c *Cluster) violate(format string, args ...any) {
 	c.mu.Lock()

@@ -52,13 +52,6 @@ const (
 	Secondary
 )
 
-func (r Role) String() string {
-	if r == Primary {
-		return "primary"
-	}
-	return "secondary"
-}
-
 // Errors.
 var (
 	// ErrNoControl reports a mutating command without control rights.
@@ -136,9 +129,6 @@ func NewSecondary(exec *executive.Executive, primaryNode i2o.NodeID) (*Controlle
 	rep.Release()
 	return c, nil
 }
-
-// Role returns the controller's role.
-func (c *Controller) Role() Role { return c.role }
 
 // handleRegister records a secondary host.
 func (c *Controller) handleRegister(ctx *device.Context, m *i2o.Message) error {
@@ -244,14 +234,6 @@ func (c *Controller) Nodes() []i2o.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// NodeName returns the registered name of a node.
-func (c *Controller) NodeName(node i2o.NodeID) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	name, ok := c.nodes[node]
-	return name, ok
 }
 
 // execRequest sends one executive message to a node and returns the reply.
@@ -362,26 +344,6 @@ func (c *Controller) Quiesce(node i2o.NodeID) error { return c.setState(node, i2
 
 // Clear resets a node's statistics.
 func (c *Controller) Clear(node i2o.NodeID) error { return c.setState(node, i2o.ExecSysClear) }
-
-// EnableAll enables every registered node.
-func (c *Controller) EnableAll() error {
-	for _, n := range c.Nodes() {
-		if err := c.Enable(n); err != nil {
-			return fmt.Errorf("cluster: enable %v: %w", n, err)
-		}
-	}
-	return nil
-}
-
-// QuiesceAll quiesces every registered node.
-func (c *Controller) QuiesceAll() error {
-	for _, n := range c.Nodes() {
-		if err := c.Quiesce(n); err != nil {
-			return fmt.Errorf("cluster: quiesce %v: %w", n, err)
-		}
-	}
-	return nil
-}
 
 // SetSystemTable installs routes on a node: peer node id -> transport
 // route name, so processing nodes can talk to each other directly.

@@ -92,14 +92,11 @@ func primary(t *testing.T, tc *testCluster) *Controller {
 func TestPrimaryLifecycle(t *testing.T) {
 	tc := buildCluster(t)
 	c := primary(t, tc)
-	if c.Role() != Primary || !c.HoldsControl() {
-		t.Fatal("primary role/control")
+	if !c.HoldsControl() {
+		t.Fatal("primary does not hold control")
 	}
 	if got := c.Nodes(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("nodes %v", got)
-	}
-	if name, ok := c.NodeName(1); !ok || name != "worker" {
-		t.Fatalf("name %q %v", name, ok)
 	}
 	if err := c.AddNode(55, "unrouted"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("unrouted add: %v", err)
@@ -173,7 +170,9 @@ func TestPlugConfigureUnplugRemotely(t *testing.T) {
 func TestEnableQuiesceAll(t *testing.T) {
 	tc := buildCluster(t)
 	c := primary(t, tc)
-	if err := c.QuiesceAll(); err != nil {
+	in := tclish.New(nil)
+	c.Bind(in)
+	if _, err := in.Eval("quiesce all"); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []i2o.NodeID{1, 2} {
@@ -181,7 +180,7 @@ func TestEnableQuiesceAll(t *testing.T) {
 			t.Fatalf("node %v state %v", n, tc.nodes[n].State())
 		}
 	}
-	if err := c.EnableAll(); err != nil {
+	if _, err := in.Eval("enable all"); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []i2o.NodeID{1, 2} {
@@ -382,12 +381,6 @@ func TestTraceTclCommand(t *testing.T) {
 	}
 	if _, err := in.Eval(`trace 77 on`); err == nil {
 		t.Fatal("trace on unknown node accepted")
-	}
-}
-
-func TestRoleString(t *testing.T) {
-	if Primary.String() == Secondary.String() {
-		t.Fatal("role strings")
 	}
 }
 

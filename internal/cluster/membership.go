@@ -179,14 +179,6 @@ func (ms *Membership) logf(format string, args ...any) {
 	}
 }
 
-// Self returns the local member record (with a fresh device snapshot
-// unless the export list was pinned).
-func (ms *Membership) Self() Member {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.refreshSelfLocked()
-}
-
 // refreshSelfLocked re-snapshots the local exported device table so the
 // record shared with peers covers devices plugged after the manager
 // started.  Caller holds ms.mu.

@@ -139,8 +139,9 @@ rule drain {
 	}
 	for _, n := range nodes {
 		knob := knobs[n.Exec.Name()]
-		if !waitFor(5*time.Second, func() bool { return knob.Params().Int("level", -1) == 7 }) {
-			t.Fatalf("node %s: knob level = %d, want 7", n.Exec.Name(), knob.Params().Int("level", -1))
+		level := func() any { v, _ := knob.Params().Get("level"); return v }
+		if !waitFor(5*time.Second, func() bool { return level() == int64(7) }) {
+			t.Fatalf("node %s: knob level = %v, want 7", n.Exec.Name(), level())
 		}
 	}
 

@@ -3,7 +3,6 @@ package daq
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"xdaq/internal/device"
 	"xdaq/internal/i2o"
@@ -43,9 +42,6 @@ type Aggregator struct {
 	mu      sync.Mutex
 	pending map[uint32]*aggPending
 	seq     uint32
-
-	supers atomic.Uint64 // super-fragments assembled
-	failed atomic.Uint64 // supers abandoned on a child failure
 }
 
 // aggPending is one super-fragment under assembly.  The originating
@@ -87,13 +83,6 @@ func (a *Aggregator) Configure(evm i2o.TID, children []AggChild) {
 	a.evm = evm
 	a.children = append([]AggChild(nil), children...)
 }
-
-// Supers returns how many super-fragments were assembled and sent.
-func (a *Aggregator) Supers() uint64 { return a.supers.Load() }
-
-// Failed returns how many supers were abandoned because a child reported
-// a failure (propagated to the parent).
-func (a *Aggregator) Failed() uint64 { return a.failed.Load() }
 
 // handleSuper accepts a parent's block request (and, in deeper trees,
 // aggregator children's replies, which carry FlagReply).
@@ -228,7 +217,6 @@ func (a *Aggregator) handleChildReply(ctx *device.Context, m *i2o.Message) error
 	if err := ctx.Host.Send(out); err != nil {
 		return err
 	}
-	a.supers.Add(1)
 	return nil
 }
 
@@ -241,7 +229,6 @@ func (a *Aggregator) abandon(ctx *device.Context, key uint32, code i2o.FailCode,
 	if p == nil {
 		return
 	}
-	a.failed.Add(1)
 	out := a.replySkeleton(p)
 	out.Flags |= i2o.FlagFail
 	out.Payload = (&i2o.FailRecord{Code: code, Detail: detail}).EncodeFail()

@@ -62,7 +62,6 @@ type BU struct {
 	srcs     []i2o.TID // fragment sources: RUs (flat) or aggregator roots (tree)
 	srcFunc  uint16    // XFuncFragment (flat) or XFuncSuper (tree)
 	perEvent int       // fragments expected per event (= total RUs)
-	fu       i2o.TID   // optional filter unit receiving built events
 
 	// Storage wiring, set before Start: built events stream to
 	// writers[event % len(writers)] and the run only finishes once every
@@ -70,9 +69,9 @@ type BU struct {
 	writers     []i2o.TID
 	storeWindow int
 
-	// OnEvent, if set, runs for every built event (the hook where a
-	// filter unit would attach).  It is called with the BU's run lock
-	// held; keep it short and never call back into the BU.
+	// OnEvent, if set, runs for every built event.  It is called with
+	// the BU's run lock held; keep it short and never call back into the
+	// BU.
 	OnEvent func(event uint64, size int)
 
 	// Run state, guarded by mu (handlers and retry timers).
@@ -121,12 +120,12 @@ type eventBuild struct {
 	got   int
 	bytes int
 	done  bool
-	frags [][]byte // fragment copies, kept only when forwarding to an FU
+	frags [][]byte // fragment copies, kept only when storing events
 }
 
 // NewBU creates builder unit `instance`.
 func NewBU(instance int) *BU {
-	b := &BU{instance: instance, evm: i2o.TIDNone, fu: i2o.TIDNone}
+	b := &BU{instance: instance, evm: i2o.TIDNone}
 	b.dev = device.New(BUClass, instance)
 	b.dev.Bind(XFuncStart, b.handleStart)
 	b.dev.Bind(XFuncAllocate, b.handleAllocateReply)
@@ -163,11 +162,6 @@ func (b *BU) ConfigureTree(evm i2o.TID, roots []i2o.TID, totalRUs int) {
 	b.srcFunc = XFuncSuper
 	b.perEvent = totalRUs
 }
-
-// SetFilterUnit streams every built event to the filter unit at fu as a
-// chained transfer (the CMS chain's next stage).  i2o.TIDNone disables
-// forwarding.  Must precede Start.
-func (b *BU) SetFilterUnit(fu i2o.TID) { b.fu = fu }
 
 // SetStorage streams every built event to a striped set of storage
 // writers: event e goes to writers[e % len(writers)] as an XFuncWrite
@@ -573,9 +567,9 @@ func (b *BU) handleFragmentReply(ctx *device.Context, m *i2o.Message) error {
 		if len(f.Data) > 0 && f.Data[0] != FragmentFill(int(f.RU), f.Event) {
 			b.corrupt.Add(1)
 		}
-		if b.fu != i2o.TIDNone || len(b.writers) > 0 {
+		if len(b.writers) > 0 {
 			// The frame's pool buffer is released after this handler
-			// returns; keep a copy for the filter unit / storage writer.
+			// returns; keep a copy for the storage writer.
 			ev.frags = append(ev.frags, append([]byte(nil), f.Data...))
 		}
 		if ev.got >= b.perEvent {
@@ -588,11 +582,6 @@ func (b *BU) handleFragmentReply(ctx *device.Context, m *i2o.Message) error {
 			note := EncodeBuiltNote(BuiltNote{BU: uint32(b.instance), Event: f.Event})
 			if err := send(ctx.Host, b.evm, b.dev.TID(), XFuncBuilt, i2o.PriorityLow, note); err != nil {
 				ctx.Host.Logf("daq: built notification: %v", err)
-			}
-			if b.fu != i2o.TIDNone {
-				if err := b.forwardEvent(ctx, f.Event, ev); err != nil {
-					ctx.Host.Logf("daq: event %d to filter unit: %v", f.Event, err)
-				}
 			}
 			if len(b.writers) > 0 {
 				b.storeEventLocked(f.Event, ev)
@@ -615,18 +604,6 @@ func (b *BU) handleFragmentReply(ctx *device.Context, m *i2o.Message) error {
 	b.pumpLocked(ctx)
 	b.maybeFinishLocked()
 	return nil
-}
-
-// forwardEvent ships one complete event to the filter unit as a chain
-// transfer: 8-byte event id, then the fragments in arrival order.
-func (b *BU) forwardEvent(ctx *device.Context, event uint64, ev *eventBuild) error {
-	payload := make([]byte, 8, 8+ev.bytes)
-	binary.LittleEndian.PutUint64(payload, event)
-	for _, f := range ev.frags {
-		payload = append(payload, f...)
-	}
-	id := uint32(b.xferSeq.Add(1))
-	return chain.SendBytes(ctx.Host, b.fu, b.dev.TID(), XFuncEvent, i2o.PriorityBulk, id, payload)
 }
 
 // storeEventLocked queues one built event for its stripe's storage

@@ -38,8 +38,8 @@ const (
 	BUClass  = "daq.bu"
 )
 
-// Private function codes.  (XFuncEvent = 5 lives in fu.go with the filter
-// unit, AggClass in aggregator.go.)
+// Private function codes; 5 is unassigned.  (AggClass lives in
+// aggregator.go.)
 const (
 	// XFuncAllocate (to EVM): request the next event block.  Payload:
 	// AllocReq; reply: AllocRep (grant, retry, or run-over).

@@ -271,9 +271,6 @@ func TestRUFragSizeReconfigurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep.Release()
-	if r.rus[0].FragmentSize() != 500 {
-		t.Fatalf("fragsize %d", r.rus[0].FragmentSize())
-	}
 	if _, err := r.bus[0].Start(0, 1); err != nil {
 		t.Fatal(err)
 	}

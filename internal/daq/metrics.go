@@ -8,7 +8,7 @@ import (
 // The daq.* gauges mirror each device's atomic counters into the host
 // executive's metrics registry, so `xdaqctl metrics <node>` (and the
 // soak harness) can watch a run without touching device APIs.  A node
-// can carry several readout, builder or filter units, so their names read
+// can carry several readout or builder units, so their names read
 // the sum over every instance plugged into the node; there is one event
 // manager per cluster, and it owns its names outright.
 
@@ -69,13 +69,5 @@ func registerBUMetrics(ctx *device.Context, b *BU) {
 		"daq.bu.lost":         func() int64 { return int64(b.lost.Load()) },
 		"daq.bu.stored":       func() int64 { return int64(b.stored.Load()) },
 		"daq.bu.write.stalls": func() int64 { return int64(b.wstalls.Load()) },
-	})
-}
-
-func registerFUMetrics(ctx *device.Context, f *FU) {
-	nodeGauges(ctx, f.dev, map[string]func() int64{
-		"daq.fu.accepted": func() int64 { return int64(f.Accepted()) },
-		"daq.fu.rejected": func() int64 { return int64(f.Rejected()) },
-		"daq.fu.bytes":    func() int64 { return int64(f.Bytes()) },
 	})
 }

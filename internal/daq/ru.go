@@ -90,20 +90,6 @@ func (r *RU) Stale() uint64 { return r.stale.Load() }
 // assigns the block to a different builder.
 func (r *RU) Refused() uint64 { return r.refused.Load() }
 
-// FragmentSize returns the current fragment size.
-func (r *RU) FragmentSize() int { return int(r.size.Load()) }
-
-// ShardVersion returns the version of the local shard map copy (0 before
-// the first fetch).
-func (r *RU) ShardVersion() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shard == nil {
-		return 0
-	}
-	return r.shard.Version
-}
-
 // fence checks req against the local shard map.  It returns a nil message
 // to serve, or a fail reply to send instead.  A stale local map triggers
 // an asynchronous refresh from the EVM.

@@ -44,23 +44,9 @@ func NewShardMap(slots int, rangeSize uint32) *ShardMap {
 	return &ShardMap{Range: rangeSize, Owners: owners}
 }
 
-// Clone returns a deep copy.
-func (s *ShardMap) Clone() *ShardMap {
-	return &ShardMap{
-		Version: s.Version,
-		Range:   s.Range,
-		Owners:  append([]uint32(nil), s.Owners...),
-	}
-}
-
 // Block returns the block ordinal of an event (events are 1-based).
 func (s *ShardMap) Block(event uint64) uint64 {
 	return (event - 1) / uint64(s.Range)
-}
-
-// First returns the first event of a block.
-func (s *ShardMap) First(block uint64) uint64 {
-	return block*uint64(s.Range) + 1
 }
 
 // Slot returns the slot a block hashes to.
@@ -73,24 +59,6 @@ func (s *ShardMap) Slot(block uint64) int {
 func (s *ShardMap) Owner(event uint64) (uint32, bool) {
 	bu := s.Owners[s.Slot(s.Block(event))]
 	return bu, bu != NoOwner
-}
-
-// Members returns the distinct builder units present, ascending.
-func (s *ShardMap) Members() []uint32 {
-	seen := map[uint32]bool{}
-	var out []uint32
-	for _, o := range s.Owners {
-		if o != NoOwner && !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // load returns slot counts per owner.

@@ -139,22 +139,6 @@ func AppendFragment(b []byte, off int, ru uint32, event uint64, size int) (dataO
 	return off + fragHdrLen, off + fragHdrLen + size
 }
 
-// EncodeFragRep renders r as a frame payload.
-func EncodeFragRep(r FragRep) []byte {
-	total := 0
-	for _, f := range r.Frags {
-		total += len(f.Data)
-	}
-	b := make([]byte, EncodedFragRepLen(len(r.Frags), total))
-	off := AppendFragRepHeader(b, r.Version, r.First, r.Count, uint32(len(r.Frags)))
-	for _, f := range r.Frags {
-		dataOff, next := AppendFragment(b, off, f.RU, f.Event, len(f.Data))
-		copy(b[dataOff:], f.Data)
-		off = next
-	}
-	return b
-}
-
 // DecodeFragRep parses a FragRep.  Fragment data aliases p — callers that
 // keep fragments past the frame's lifetime must copy.
 func DecodeFragRep(p []byte) (FragRep, error) {

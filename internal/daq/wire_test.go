@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// EncodeFragRep renders r as a frame payload, through the same header and
+// fragment writers the readout unit and aggregator fill their reply
+// buffers with.  It is the oracle of the round-trip tests and the fuzzer.
+func EncodeFragRep(r FragRep) []byte {
+	total := 0
+	for _, f := range r.Frags {
+		total += len(f.Data)
+	}
+	b := make([]byte, EncodedFragRepLen(len(r.Frags), total))
+	off := AppendFragRepHeader(b, r.Version, r.First, r.Count, uint32(len(r.Frags)))
+	for _, f := range r.Frags {
+		dataOff, next := AppendFragment(b, off, f.RU, f.Event, len(f.Data))
+		copy(b[dataOff:], f.Data)
+		off = next
+	}
+	return b
+}
+
 func TestFragReqRoundTrip(t *testing.T) {
 	in := FragReq{Version: 7, BU: 3, First: 129, Count: 8, Skip: 0b1010}
 	out, err := DecodeFragReq(EncodeFragReq(in))

@@ -122,7 +122,7 @@ func (d *Device) Notify(xfunc uint16, priority i2o.Priority, payload []byte) err
 			Target:    t,
 			Initiator: d.TID(),
 			Function:  i2o.FuncPrivate,
-			Org:       d.org,
+			Org:       i2o.OrgXDAQ,
 			XFunction: xfunc,
 			Payload:   payload,
 		}

@@ -133,7 +133,6 @@ var _ Listener = (*Device)(nil)
 type Device struct {
 	class    string
 	instance int
-	org      i2o.OrgID
 
 	tid   atomic.Uint32 // i2o.TID once plugged
 	state atomic.Int32
@@ -141,7 +140,6 @@ type Device struct {
 	mu       sync.RWMutex
 	private  map[uint16]Handler
 	standard map[i2o.Function]Handler
-	fallback Handler
 	ctx      *Context
 
 	params *Params
@@ -162,7 +160,6 @@ func New(class string, instance int) *Device {
 	d := &Device{
 		class:    class,
 		instance: instance,
-		org:      i2o.OrgXDAQ,
 		private:  make(map[uint16]Handler),
 		standard: make(map[i2o.Function]Handler),
 		params:   NewParams(),
@@ -176,13 +173,6 @@ func (d *Device) Class() string { return d.class }
 
 // Instance returns the instance number within the class.
 func (d *Device) Instance() int { return d.instance }
-
-// Org returns the organization ID the device answers private frames for.
-func (d *Device) Org() i2o.OrgID { return d.org }
-
-// SetOrg overrides the private-message organization ID; it must be called
-// before the device is plugged.
-func (d *Device) SetOrg(org i2o.OrgID) { d.org = org }
 
 // TID returns the device's assigned target identifier, or i2o.TIDNone
 // before the device is plugged.
@@ -213,14 +203,6 @@ func (d *Device) Bind(xfunc uint16, h Handler) {
 func (d *Device) BindFunction(fn i2o.Function, h Handler) {
 	d.mu.Lock()
 	d.standard[fn] = h
-	d.mu.Unlock()
-}
-
-// SetFallback installs the handler used when no binding matches; without
-// one, unmatched frames are answered with a FailUnknownFunction reply.
-func (d *Device) SetFallback(h Handler) {
-	d.mu.Lock()
-	d.fallback = h
 	d.mu.Unlock()
 }
 
@@ -267,13 +249,10 @@ func (d *Device) lookup(m *i2o.Message) (Handler, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if m.Function.IsPrivate() {
-		if m.Org == d.org {
+		if m.Org == i2o.OrgXDAQ {
 			if h, ok := d.private[m.XFunction]; ok {
 				return h, nil
 			}
-		}
-		if d.fallback != nil {
-			return d.fallback, nil
 		}
 		return nil, fmt.Errorf("%w: %s private %#04x (org %#04x)", ErrNoHandler, d.class, m.XFunction, uint16(m.Org))
 	}
@@ -283,25 +262,7 @@ func (d *Device) lookup(m *i2o.Message) (Handler, error) {
 	if h := d.defaultStandard(m.Function); h != nil {
 		return h, nil
 	}
-	if d.fallback != nil {
-		return d.fallback, nil
-	}
 	return nil, fmt.Errorf("%w: %s function %v", ErrNoHandler, d.class, m.Function)
-}
-
-// Dispatch runs the handler for m.  The executive calls it from the
-// dispatch loop; tests may call it directly with a fake Host bound via
-// Plugged.
-func (d *Device) Dispatch(m *i2o.Message) error {
-	ctx, err := d.Ctx()
-	if err != nil {
-		return err
-	}
-	h, err := d.lookup(m)
-	if err != nil {
-		return err
-	}
-	return h(ctx, m)
 }
 
 // Lookup exposes handler selection to the executive so that it can time

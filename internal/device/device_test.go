@@ -41,6 +41,22 @@ func plugged(t *testing.T, d *Device) *fakeHost {
 	return h
 }
 
+// dispatch runs the handler for m the way the executive's dispatch loop
+// does: Lookup selects it, then it is called with the device context.
+func dispatch(d *Device, m *i2o.Message) error {
+	h, ctx, err := d.Lookup(m)
+	if err != nil {
+		return err
+	}
+	return h(ctx, m)
+}
+
+// param reads one parameter back, nil when it is missing.
+func param(d *Device, key string) any {
+	v, _ := d.Params().Get(key)
+	return v
+}
+
 func privateFrame(x uint16) *i2o.Message {
 	return &i2o.Message{
 		Flags: i2o.FlagReplyExpected, Priority: i2o.PriorityNormal,
@@ -57,7 +73,7 @@ func TestBindAndDispatch(t *testing.T) {
 		return ReplyIfExpected(ctx, m, []byte("pong"))
 	})
 	h := plugged(t, d)
-	if err := d.Dispatch(privateFrame(1)); err != nil {
+	if err := dispatch(d, privateFrame(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !called || len(h.sent) != 1 {
@@ -72,7 +88,7 @@ func TestBindAndDispatch(t *testing.T) {
 func TestDispatchUnknownPrivate(t *testing.T) {
 	d := New("echo", 0)
 	plugged(t, d)
-	if err := d.Dispatch(privateFrame(99)); !errors.Is(err, ErrNoHandler) {
+	if err := dispatch(d, privateFrame(99)); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("unknown xfunc: %v", err)
 	}
 }
@@ -83,27 +99,14 @@ func TestDispatchWrongOrg(t *testing.T) {
 	plugged(t, d)
 	m := privateFrame(1)
 	m.Org = 0x1111
-	if err := d.Dispatch(m); !errors.Is(err, ErrNoHandler) {
+	if err := dispatch(d, m); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("foreign org: %v", err)
-	}
-}
-
-func TestFallbackHandler(t *testing.T) {
-	d := New("any", 0)
-	var got uint16
-	d.SetFallback(func(ctx *Context, m *i2o.Message) error {
-		got = m.XFunction
-		return nil
-	})
-	plugged(t, d)
-	if err := d.Dispatch(privateFrame(7)); err != nil || got != 7 {
-		t.Fatalf("fallback: %v got=%d", err, got)
 	}
 }
 
 func TestDispatchBeforePlug(t *testing.T) {
 	d := New("echo", 0)
-	if err := d.Dispatch(privateFrame(1)); !errors.Is(err, ErrNotPlugged) {
+	if err := dispatch(d, privateFrame(1)); !errors.Is(err, ErrNotPlugged) {
 		t.Fatalf("unplugged dispatch: %v", err)
 	}
 }
@@ -113,7 +116,7 @@ func TestDefaultNOP(t *testing.T) {
 	h := plugged(t, d)
 	m := privateFrame(0)
 	m.Function = i2o.UtilNOP
-	if err := d.Dispatch(m); err != nil {
+	if err := dispatch(d, m); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.sent) != 1 || !h.sent[0].Flags.Has(i2o.FlagReply) {
@@ -123,7 +126,7 @@ func TestDefaultNOP(t *testing.T) {
 	m2 := privateFrame(0)
 	m2.Function = i2o.UtilNOP
 	m2.Flags = 0
-	if err := d.Dispatch(m2); err != nil {
+	if err := dispatch(d, m2); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.sent) != 1 {
@@ -135,6 +138,11 @@ func TestDefaultParamsGetSet(t *testing.T) {
 	d := New("cfg", 2)
 	h := plugged(t, d)
 	d.Params().Set("rate", int64(100))
+	// A value outside the wire types is stored as its fmt.Sprint form.
+	d.Params().Set("weird", struct{ X int }{1})
+	if param(d, "weird") != "{1}" {
+		t.Fatalf("coerced param = %#v", param(d, "weird"))
+	}
 
 	// Set "rate" and a new key via UtilParamsSet.
 	payload, err := i2o.EncodeParams([]i2o.Param{
@@ -147,11 +155,11 @@ func TestDefaultParamsGetSet(t *testing.T) {
 	set := privateFrame(0)
 	set.Function = i2o.UtilParamsSet
 	set.Payload = payload
-	if err := d.Dispatch(set); err != nil {
+	if err := dispatch(d, set); err != nil {
 		t.Fatal(err)
 	}
-	if d.Params().Int("rate", 0) != 250 || d.Params().String("mode", "") != "burst" {
-		t.Fatalf("params after set: %v %v", d.Params().Int("rate", 0), d.Params().String("mode", ""))
+	if param(d, "rate") != int64(250) || param(d, "mode") != "burst" {
+		t.Fatalf("params after set: %v %v", param(d, "rate"), param(d, "mode"))
 	}
 
 	// Read selected keys back.
@@ -162,7 +170,7 @@ func TestDefaultParamsGetSet(t *testing.T) {
 	get := privateFrame(0)
 	get.Function = i2o.UtilParamsGet
 	get.Payload = keys
-	if err := d.Dispatch(get); err != nil {
+	if err := dispatch(d, get); err != nil {
 		t.Fatal(err)
 	}
 	rep := h.sent[len(h.sent)-1]
@@ -178,7 +186,7 @@ func TestDefaultParamsGetSet(t *testing.T) {
 	getAll := privateFrame(0)
 	getAll.Function = i2o.UtilParamsGet
 	getAll.Payload, _ = i2o.EncodeKeys(nil)
-	if err := d.Dispatch(getAll); err != nil {
+	if err := dispatch(d, getAll); err != nil {
 		t.Fatal(err)
 	}
 	rep = h.sent[len(h.sent)-1]
@@ -201,7 +209,7 @@ func TestParamsOnSetCallback(t *testing.T) {
 	set := privateFrame(0)
 	set.Function = i2o.UtilParamsSet
 	set.Payload = payload
-	if err := d.Dispatch(set); err != nil {
+	if err := dispatch(d, set); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 1 || seen[0].Key != "k" {
@@ -214,7 +222,7 @@ func TestEnableQuiesceStateMachine(t *testing.T) {
 	h := plugged(t, d)
 	q := privateFrame(0)
 	q.Function = i2o.ExecSysQuiesce
-	if err := d.Dispatch(q); err != nil {
+	if err := dispatch(d, q); err != nil {
 		t.Fatal(err)
 	}
 	if d.State() != Quiesced {
@@ -229,7 +237,7 @@ func TestEnableQuiesceStateMachine(t *testing.T) {
 	if !d.Accepts(e) {
 		t.Fatal("quiesced device refused ExecSysEnable")
 	}
-	if err := d.Dispatch(e); err != nil {
+	if err := dispatch(d, e); err != nil {
 		t.Fatal(err)
 	}
 	if d.State() != Operational || !d.Accepts(privateFrame(1)) {
@@ -267,7 +275,7 @@ func TestBindFunctionOverridesDefault(t *testing.T) {
 	plugged(t, d)
 	m := privateFrame(0)
 	m.Function = i2o.UtilNOP
-	if err := d.Dispatch(m); err != nil || !override {
+	if err := dispatch(d, m); err != nil || !override {
 		t.Fatalf("override: %v %v", err, override)
 	}
 }
@@ -278,7 +286,7 @@ func TestEventRegisterAndNotify(t *testing.T) {
 	reg := privateFrame(0)
 	reg.Function = i2o.UtilEventRegister
 	reg.Initiator = 0x33
-	if err := d.Dispatch(reg); err != nil {
+	if err := dispatch(d, reg); err != nil {
 		t.Fatal(err)
 	}
 	if subs := d.Subscribers(); len(subs) != 1 || subs[0] != 0x33 {
@@ -315,7 +323,7 @@ func TestPluggedLifecycle(t *testing.T) {
 	if !pluggedCalled || d.TID() != 0x55 {
 		t.Fatalf("plugged=%v tid=%v", pluggedCalled, d.TID())
 	}
-	if d.Params().Int("tid", 0) != 0x55 {
+	if param(d, "tid") != int64(0x55) {
 		t.Fatal("tid param not published")
 	}
 	d.Unplugged()
@@ -336,39 +344,6 @@ func TestOnPluggedError(t *testing.T) {
 	}
 }
 
-func TestParamsTypedGetters(t *testing.T) {
-	p := NewParams()
-	p.Set("s", "str")
-	p.Set("i", int64(-5))
-	p.Set("u", uint64(7))
-	p.Set("f", 2.5)
-	p.Set("b", true)
-	p.Set("weird", struct{ X int }{1}) // coerced to string
-
-	if p.String("s", "") != "str" || p.String("missing", "d") != "d" || p.String("i", "d") != "d" {
-		t.Fatal("String getter")
-	}
-	if p.Int("i", 0) != -5 || p.Int("u", 0) != 7 || p.Int("missing", 9) != 9 || p.Int("s", 9) != 9 {
-		t.Fatal("Int getter")
-	}
-	if p.Float("f", 0) != 2.5 || p.Float("missing", 1.5) != 1.5 {
-		t.Fatal("Float getter")
-	}
-	if !p.Bool("b", false) || p.Bool("missing", true) != true {
-		t.Fatal("Bool getter")
-	}
-	if v, ok := p.Get("weird"); !ok {
-		t.Fatal("coerced value missing")
-	} else if _, isString := v.(string); !isString {
-		t.Fatalf("coercion produced %T", v)
-	}
-	// Huge uint64 does not fit int64.
-	p.Set("huge", uint64(1)<<63)
-	if p.Int("huge", -1) != -1 {
-		t.Fatal("huge uint64 must not convert")
-	}
-}
-
 func TestStateStrings(t *testing.T) {
 	for s := Ready; s <= Faulted; s++ {
 		if s.String() == "" {
@@ -381,20 +356,5 @@ func TestStateStrings(t *testing.T) {
 	d := New("str", 3)
 	if d.String() == "" {
 		t.Fatal("device string")
-	}
-}
-
-func TestSetOrg(t *testing.T) {
-	d := New("org", 0)
-	d.SetOrg(0x7777)
-	d.Bind(1, func(ctx *Context, m *i2o.Message) error { return nil })
-	plugged(t, d)
-	m := privateFrame(1)
-	m.Org = 0x7777
-	if err := d.Dispatch(m); err != nil {
-		t.Fatalf("own org: %v", err)
-	}
-	if err := d.Dispatch(privateFrame(1)); !errors.Is(err, ErrNoHandler) {
-		t.Fatalf("framework org must not match: %v", err)
 	}
 }

@@ -43,55 +43,6 @@ func (p *Params) Get(key string) (any, bool) {
 	return v, ok
 }
 
-// String returns the string value of key, or def when missing or not a
-// string.
-func (p *Params) String(key, def string) string {
-	if v, ok := p.Get(key); ok {
-		if s, ok := v.(string); ok {
-			return s
-		}
-	}
-	return def
-}
-
-// Int returns the int64 value of key, accepting uint64 where it fits, or
-// def otherwise.
-func (p *Params) Int(key string, def int64) int64 {
-	v, ok := p.Get(key)
-	if !ok {
-		return def
-	}
-	switch n := v.(type) {
-	case int64:
-		return n
-	case uint64:
-		if n <= 1<<63-1 {
-			return int64(n)
-		}
-	}
-	return def
-}
-
-// Float returns the float64 value of key, or def.
-func (p *Params) Float(key string, def float64) float64 {
-	if v, ok := p.Get(key); ok {
-		if f, ok := v.(float64); ok {
-			return f
-		}
-	}
-	return def
-}
-
-// Bool returns the bool value of key, or def.
-func (p *Params) Bool(key string, def bool) bool {
-	if v, ok := p.Get(key); ok {
-		if b, ok := v.(bool); ok {
-			return b
-		}
-	}
-	return def
-}
-
 // All returns a snapshot of every parameter, unordered.
 func (p *Params) All() []i2o.Param {
 	p.mu.RLock()

@@ -49,7 +49,7 @@ func buildMixedCluster(t *testing.T) (host *node, workers map[i2o.NodeID]*node) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := tcp.New(id, e.Allocator(), tcp.Config{Listen: "127.0.0.1:0"})
+		tr, err := tcp.New(id, e.Allocator(), tcp.Config{Listen: "127.0.0.1:0", Metrics: e.Metrics()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,12 +149,12 @@ func TestControlOverTCPDataOverGM(t *testing.T) {
 	if workers[2].gmTr == nil {
 		t.Fatal("no gm transport")
 	}
-	gmSent := workers[2].agent.Stats().Sent
+	gmSent := workers[2].exec.Metrics().Counter("pta.sent").Value()
 	if gmSent == 0 {
 		t.Fatal("agent recorded no sends")
 	}
 	// And the control plane really used TCP.
-	sent, _ := host.tcp.Stats()
+	sent := host.exec.Metrics().Counter(tcp.PTName + ".sent").Value()
 	if sent == 0 {
 		t.Fatal("host sent nothing over TCP")
 	}

@@ -129,7 +129,7 @@ func TestParallelSlowDeviceDoesNotDelayOthers(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		rep, err := e.RequestTimeout(&i2o.Message{
+		rep, err := requestWithin(e, &i2o.Message{
 			Priority: i2o.PriorityNormal, Target: echoID,
 			Initiator: i2o.TIDExecutive, Function: i2o.FuncPrivate,
 			Org: i2o.OrgXDAQ, XFunction: 1, Payload: []byte("hi"),
@@ -215,7 +215,7 @@ func TestPendingSlotLateReplyGuard(t *testing.T) {
 	}
 
 	// Request 1 times out; its slot returns to the pool.
-	if _, err := e.RequestTimeout(mk(), 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := requestWithin(e, mk(), 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("request 1: %v", err)
 	}
 	staleCtx := <-ctxs
@@ -223,7 +223,7 @@ func TestPendingSlotLateReplyGuard(t *testing.T) {
 	// Request 2 registers (very likely reusing the recycled slot).
 	res := make(chan error, 1)
 	go func() {
-		_, err := e.RequestTimeout(mk(), 400*time.Millisecond)
+		_, err := requestWithin(e, mk(), 400*time.Millisecond)
 		res <- err
 	}()
 	<-ctxs // request 2 reached the sink, so its pending slot is registered
@@ -269,7 +269,10 @@ func TestWatchdogRunnerReuse(t *testing.T) {
 		}
 		rep.Recycle()
 	}
-	if idle := e.runners.idle(); idle != 1 {
+	e.runners.mu.Lock()
+	idle := len(e.runners.free)
+	e.runners.mu.Unlock()
+	if idle != 1 {
 		t.Fatalf("runner pool idle = %d after sequential dispatches, want 1 reused runner", idle)
 	}
 

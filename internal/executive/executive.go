@@ -653,14 +653,6 @@ func (e *Executive) Unplug(id i2o.TID) error {
 	return nil
 }
 
-// Device returns the device registered at id.
-func (e *Executive) Device(id i2o.TID) (*device.Device, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	d, ok := e.devices[id]
-	return d, ok
-}
-
 // Devices returns a snapshot of all registered device modules.
 func (e *Executive) Devices() []*device.Device {
 	e.mu.RLock()

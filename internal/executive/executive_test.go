@@ -1,6 +1,7 @@
 package executive
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,9 +39,33 @@ func echoDevice(instance int) *device.Device {
 	return d
 }
 
+// deviceAt finds the device plugged at id among the executive's devices.
+func deviceAt(e *Executive, id i2o.TID) (*device.Device, bool) {
+	for _, d := range e.Devices() {
+		if d.TID() == id {
+			return d, true
+		}
+	}
+	return nil, false
+}
+
+// requestWithin is Request with a per-call deadline.
+func requestWithin(e *Executive, m *i2o.Message, d time.Duration) (*i2o.Message, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return e.RequestContext(ctx, m)
+}
+
+// unregisterModule removes a factory a test registered.
+func unregisterModule(name string) {
+	regMu.Lock()
+	delete(registry, name)
+	regMu.Unlock()
+}
+
 func TestSelfDeviceClaimsTID1(t *testing.T) {
 	e := newExec(t, "a", 1)
-	d, ok := e.Device(i2o.TIDExecutive)
+	d, ok := deviceAt(e, i2o.TIDExecutive)
 	if !ok || d.Class() != "executive" {
 		t.Fatalf("self device: %v %v", d, ok)
 	}
@@ -60,7 +85,7 @@ func TestPlugUnplug(t *testing.T) {
 	if d.TID() != id || d.State() != device.Operational {
 		t.Fatalf("tid=%v state=%v", d.TID(), d.State())
 	}
-	if got, ok := e.Device(id); !ok || got != d {
+	if got, ok := deviceAt(e, id); !ok || got != d {
 		t.Fatal("Device lookup")
 	}
 	if len(e.Devices()) != 2 { // self + echo
@@ -69,7 +94,7 @@ func TestPlugUnplug(t *testing.T) {
 	if err := e.Unplug(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.Device(id); ok {
+	if _, ok := deviceAt(e, id); ok {
 		t.Fatal("device survives unplug")
 	}
 	if err := e.Unplug(id); err == nil {
@@ -78,7 +103,7 @@ func TestPlugUnplug(t *testing.T) {
 	if err := e.Unplug(i2o.TIDExecutive); err == nil {
 		t.Fatal("unplugged the executive itself")
 	}
-	if _, ok := e.Device(i2o.TIDExecutive); !ok {
+	if _, ok := deviceAt(e, i2o.TIDExecutive); !ok {
 		t.Fatal("failed self-unplug removed the self device")
 	}
 }
@@ -132,7 +157,7 @@ func TestRequestTimeout(t *testing.T) {
 		Target: id, Initiator: i2o.TIDExecutive,
 		Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ, XFunction: 1,
 	}
-	_, err = e.RequestTimeout(req, 30*time.Millisecond)
+	_, err = requestWithin(e, req, 30*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout: %v", err)
 	}
@@ -408,7 +433,7 @@ func TestExecPluginAndUnplugMessages(t *testing.T) {
 	RegisterModule("test.echo", func(instance int, _ []i2o.Param) (*device.Device, error) {
 		return echoDevice(instance), nil
 	})
-	defer UnregisterModule("test.echo")
+	defer unregisterModule("test.echo")
 
 	e := newExec(t, "a", 1)
 	payload, err := i2o.EncodeParams([]i2o.Param{
@@ -425,14 +450,14 @@ func TestExecPluginAndUnplugMessages(t *testing.T) {
 		t.Fatalf("plugin reply %v", params)
 	}
 	plugged := i2o.TID(params[0].Value.(int64))
-	if _, ok := e.Device(plugged); !ok {
+	if _, ok := deviceAt(e, plugged); !ok {
 		t.Fatal("plugged device not registered")
 	}
 
 	unplug, _ := i2o.EncodeParams([]i2o.Param{{Key: "tid", Value: int64(plugged)}})
 	rep = execRequest(t, e, i2o.TIDExecutive, i2o.ExecUnplug, unplug)
 	rep.Release()
-	if _, ok := e.Device(plugged); ok {
+	if _, ok := deviceAt(e, plugged); ok {
 		t.Fatal("device survives ExecUnplug")
 	}
 }
@@ -682,7 +707,7 @@ func TestModulesRegistry(t *testing.T) {
 	RegisterModule("zz.mod", func(int, []i2o.Param) (*device.Device, error) {
 		return device.New("zz", 0), nil
 	})
-	defer UnregisterModule("zz.mod")
+	defer unregisterModule("zz.mod")
 	found := false
 	for _, name := range Modules() {
 		if name == "zz.mod" {

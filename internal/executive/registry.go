@@ -35,13 +35,6 @@ func RegisterModule(name string, f Factory) {
 	registry[name] = f
 }
 
-// UnregisterModule removes a factory; intended for tests.
-func UnregisterModule(name string) {
-	regMu.Lock()
-	delete(registry, name)
-	regMu.Unlock()
-}
-
 // Instantiate builds a device from a registered module factory.
 func Instantiate(name string, instance int, params []i2o.Param) (*device.Device, error) {
 	regMu.RLock()

@@ -184,13 +184,6 @@ func (e *Executive) Request(m *i2o.Message) (*i2o.Message, error) {
 	return e.RequestContext(context.Background(), m)
 }
 
-// RequestTimeout is Request with an explicit per-call deadline.
-func (e *Executive) RequestTimeout(m *i2o.Message, d time.Duration) (*i2o.Message, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return e.RequestContext(ctx, m)
-}
-
 // RequestContext is Request honoring the context's cancellation and
 // deadline.  A context without a deadline falls back to the node's
 // configured RequestTimeout.  When the call is cancelled or times out, the

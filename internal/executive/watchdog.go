@@ -89,13 +89,6 @@ func (p *runnerPool) close() {
 	}
 }
 
-// idle reports the current free-list depth (tests use it to show reuse).
-func (p *runnerPool) idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
 // timerPool recycles watchdog and request-timeout timers.  Safe since Go
 // 1.23: Reset on an expired, undrained timer discards any stale value, so
 // a pooled timer cannot fire with a previous deadline.

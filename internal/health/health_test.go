@@ -1,6 +1,7 @@
 package health_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -244,10 +245,12 @@ func TestPendingRequestFailsWhenPeerDies(t *testing.T) {
 	errc := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := a.exec.RequestTimeout(&i2o.Message{
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := a.exec.RequestContext(ctx, &i2o.Message{
 			Target: target, Initiator: i2o.TIDExecutive,
 			Function: i2o.FuncPrivate, Org: i2o.OrgXDAQ, XFunction: 1,
-		}, 10*time.Second)
+		})
 		errc <- err
 	}()
 

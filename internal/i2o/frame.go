@@ -350,52 +350,15 @@ func (m *Message) AppendBody(vec [][]byte) [][]byte {
 	return vec
 }
 
-// AppendEncode appends the wire representation to dst and returns the
-// extended slice.
-func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
-	off := len(dst)
-	size := m.WireSize()
-	if cap(dst)-off < size {
-		grown := make([]byte, off, off+size)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:off+size]
-	if _, err := m.Encode(dst[off:]); err != nil {
-		return dst[:off], err
-	}
-	return dst, nil
-}
-
-// EncodedSize inspects the first header word of an encoded frame and
-// returns its total wire size in bytes.  It needs at least 4 bytes of src.
-func EncodedSize(src []byte) (int, error) {
-	if len(src) < wordSize {
-		return 0, ErrTruncated
-	}
-	return int(binary.LittleEndian.Uint16(src[2:])) * wordSize, nil
-}
-
-// Decode parses one frame from src.  The returned message's Payload aliases
-// src; callers that need the payload to outlive src must copy it (or decode
-// directly into a pool block with DecodeInto).  It returns the number of
-// bytes consumed.
-func Decode(src []byte) (*Message, int, error) {
-	var m Message
-	n, err := decode(&m, src, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &m, n, nil
-}
-
-// DecodeAcquired is Decode returning a frame from the package free list,
-// so receive paths that hand the frame to a dispatcher (which recycles it
-// at end of dispatch) allocate no frame descriptor per message.  On error
-// the acquired frame is returned to the pool before reporting.
+// DecodeAcquired parses one frame from src into a frame from the package
+// free list, so receive paths that hand the frame to a dispatcher (which
+// recycles it at end of dispatch) allocate no frame descriptor per
+// message.  The frame's Payload aliases src; it returns the number of
+// bytes consumed.  On error the acquired frame is returned to the pool
+// before reporting.
 func DecodeAcquired(src []byte) (*Message, int, error) {
 	m := AcquireMessage()
-	n, err := decode(m, src, nil)
+	n, err := decode(m, src)
 	if err != nil {
 		m.Recycle()
 		return nil, 0, err
@@ -403,15 +366,7 @@ func DecodeAcquired(src []byte) (*Message, int, error) {
 	return m, n, nil
 }
 
-// DecodeInto parses one frame from src, copying the payload into
-// payloadDst, which must be at least as large as the payload.  The parsed
-// message's Payload aliases payloadDst.  It returns the bytes consumed
-// from src.
-func DecodeInto(m *Message, src, payloadDst []byte) (int, error) {
-	return decode(m, src, payloadDst)
-}
-
-func decode(m *Message, src, payloadDst []byte) (int, error) {
+func decode(m *Message, src []byte) (int, error) {
 	if len(src) < StandardHeaderSize {
 		return 0, ErrTruncated
 	}
@@ -473,16 +428,7 @@ func decode(m *Message, src, payloadDst []byte) (int, error) {
 			return 0, ErrBadPadding
 		}
 	}
-	body := src[hdr : hdr+payloadLen]
-	if payloadDst != nil {
-		if len(payloadDst) < payloadLen {
-			return 0, fmt.Errorf("%w: payload %d, buffer %d", ErrShortBuffer, payloadLen, len(payloadDst))
-		}
-		copy(payloadDst, body)
-		m.Payload = payloadDst[:payloadLen]
-	} else {
-		m.Payload = body
-	}
+	m.Payload = src[hdr : hdr+payloadLen]
 	return size, nil
 }
 

@@ -8,6 +8,18 @@ import (
 	"testing/quick"
 )
 
+// Decode parses one frame from src into a fresh, unpooled Message whose
+// Payload aliases src, and returns the bytes consumed.  It is the oracle
+// the tests and fuzzers hold the pooled DecodeAcquired path against.
+func Decode(src []byte) (*Message, int, error) {
+	var m Message
+	n, err := decode(&m, src)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &m, n, nil
+}
+
 func sampleMessage() *Message {
 	return &Message{
 		Flags:              FlagReplyExpected,
@@ -174,54 +186,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecodeInto(t *testing.T) {
-	m := sampleMessage()
-	buf := make([]byte, m.WireSize())
-	if _, err := m.Encode(buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, len(m.Payload))
-	var got Message
-	if _, err := DecodeInto(&got, buf, dst); err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-	if &got.Payload[0] != &dst[0] {
-		t.Fatal("DecodeInto did not use the provided payload buffer")
-	}
-	if !bytes.Equal(got.Payload, m.Payload) {
-		t.Fatalf("payload mismatch: %q", got.Payload)
-	}
-	short := make([]byte, len(m.Payload)-1)
-	if _, err := DecodeInto(&got, buf, short); !errors.Is(err, ErrShortBuffer) {
-		t.Fatalf("short payload buffer: %v", err)
-	}
-}
-
-func TestAppendEncode(t *testing.T) {
-	m1 := sampleMessage()
-	m2 := sampleMessage()
-	m2.Payload = []byte("second")
-	var stream []byte
-	var err error
-	if stream, err = m1.AppendEncode(stream); err != nil {
-		t.Fatal(err)
-	}
-	if stream, err = m2.AppendEncode(stream); err != nil {
-		t.Fatal(err)
-	}
-	got1, n1, err := Decode(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, _, err := Decode(stream[n1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got1.Payload) != string(m1.Payload) || string(got2.Payload) != "second" {
-		t.Fatalf("stream decode mismatch: %q / %q", got1.Payload, got2.Payload)
-	}
-}
-
 func TestEncodeHeaderMatchesEncode(t *testing.T) {
 	// The gather-send path (header || payload || pad) must produce exactly
 	// the bytes of a flat Encode, for any message.
@@ -262,21 +226,6 @@ func TestPadBytes(t *testing.T) {
 		if got := PadBytes(n); got != want {
 			t.Errorf("PadBytes(%d) = %d, want %d", n, got, want)
 		}
-	}
-}
-
-func TestEncodedSize(t *testing.T) {
-	m := sampleMessage()
-	buf := make([]byte, m.WireSize())
-	if _, err := m.Encode(buf); err != nil {
-		t.Fatal(err)
-	}
-	n, err := EncodedSize(buf[:4])
-	if err != nil || n != m.WireSize() {
-		t.Fatalf("EncodedSize = %d, %v; want %d", n, err, m.WireSize())
-	}
-	if _, err := EncodedSize(buf[:3]); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("EncodedSize on 3 bytes: %v", err)
 	}
 }
 
@@ -401,10 +350,10 @@ func TestTIDValidity(t *testing.T) {
 }
 
 func TestFunctionClasses(t *testing.T) {
-	if !UtilParamsGet.IsUtility() || UtilParamsGet.IsExecutive() || UtilParamsGet.IsPrivate() {
+	if UtilParamsGet.IsExecutive() || UtilParamsGet.IsPrivate() {
 		t.Error("UtilParamsGet classification")
 	}
-	if !ExecPlugin.IsExecutive() || ExecPlugin.IsUtility() {
+	if !ExecPlugin.IsExecutive() || ExecPlugin.IsPrivate() {
 		t.Error("ExecPlugin classification")
 	}
 	if !FuncPrivate.IsPrivate() {

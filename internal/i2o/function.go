@@ -143,9 +143,6 @@ const FuncPrivate Function = 0xFF
 // IsPrivate reports whether f requires the private extension header.
 func (f Function) IsPrivate() bool { return f == FuncPrivate }
 
-// IsUtility reports whether f is in the utility class range.
-func (f Function) IsUtility() bool { return f < 0x80 }
-
 // IsExecutive reports whether f is one of the executive control codes.
 func (f Function) IsExecutive() bool {
 	switch f {

@@ -58,9 +58,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add adjusts the value by n (which may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -164,14 +161,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return 2 * bucketBound(numBuckets-1)
-}
-
-// Mean returns the mean observed duration in nanoseconds.
-func (s HistogramSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return int64(s.SumNanos / s.Count)
 }
 
 // Kind tags a sample in a registry snapshot.

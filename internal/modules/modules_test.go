@@ -82,7 +82,7 @@ func TestEchoModule(t *testing.T) {
 	if d.Class() != "echo" || d.Instance() != 3 {
 		t.Fatalf("device %v", d)
 	}
-	if d.Params().String("note", "") != "hi" {
+	if v, _ := d.Params().Get("note"); v != "hi" {
 		t.Fatal("plug-time parameter not applied")
 	}
 	id, err := e.Plug(d)
@@ -138,7 +138,7 @@ func TestDaqModulesHonorParams(t *testing.T) {
 	if evm.Class() != daq.EVMClass {
 		t.Fatalf("class %q", evm.Class())
 	}
-	if evm.Params().Int("events", 0) != 17 {
+	if v, _ := evm.Params().Get("events"); v != int64(17) {
 		t.Fatal("events parameter not applied")
 	}
 
@@ -149,7 +149,7 @@ func TestDaqModulesHonorParams(t *testing.T) {
 	if ru.Class() != daq.RUClass || ru.Instance() != 2 {
 		t.Fatalf("ru %v", ru)
 	}
-	if ru.Params().Int("fragsize", 0) != 4096 {
+	if v, _ := ru.Params().Get("fragsize"); v != int64(4096) {
 		t.Fatal("fragsize parameter not applied")
 	}
 

@@ -71,15 +71,6 @@ func NewFixed(classes []FixedClass) (*Fixed, error) {
 	return p, nil
 }
 
-// MustFixed is NewFixed for static configurations; it panics on error.
-func MustFixed(classes []FixedClass) *Fixed {
-	p, err := NewFixed(classes)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Name implements Allocator.
 func (p *Fixed) Name() string { return "fixed" }
 
@@ -129,17 +120,3 @@ func (p *Fixed) Close() {
 
 // Stats implements Allocator.
 func (p *Fixed) Stats() Stats { return p.snapshot() }
-
-// FreeBlocks reports how many blocks are currently available, for tests and
-// operational monitoring.
-func (p *Fixed) FreeBlocks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.free {
-		if f {
-			n++
-		}
-	}
-	return n
-}

@@ -124,29 +124,11 @@ type Buffer struct {
 }
 
 // Bytes returns the usable bytes of the block: length as requested from
-// Alloc (or set by Resize), backed by the full block capacity.
+// Alloc, backed by the full block capacity.
 func (b *Buffer) Bytes() []byte { return b.data[:b.length] }
 
 // Len returns the usable length.
 func (b *Buffer) Len() int { return b.length }
-
-// Cap returns the full block capacity.
-func (b *Buffer) Cap() int { return cap(b.data) }
-
-// Resize changes the usable length within the block capacity.  It is used
-// when a frame is filled incrementally (receive paths allocate at block
-// granularity, then shrink to the actual message size).
-func (b *Buffer) Resize(n int) error {
-	if n < 0 || n > cap(b.data) {
-		return fmt.Errorf("pool: resize to %d outside block capacity %d", n, cap(b.data))
-	}
-	b.length = n
-	return nil
-}
-
-// Refs returns the current reference count; primarily for tests and leak
-// diagnostics.
-func (b *Buffer) Refs() int { return int(b.refs.Load()) }
 
 // Retain increments the reference count.  It panics on a recycled buffer:
 // retaining after free is always a bug in the caller.

@@ -31,11 +31,11 @@ func TestAllocBasic(t *testing.T) {
 			if b.Len() != 100 || len(b.Bytes()) != 100 {
 				t.Fatalf("Len=%d len(Bytes)=%d", b.Len(), len(b.Bytes()))
 			}
-			if b.Cap() < 100 {
-				t.Fatalf("Cap=%d < requested", b.Cap())
+			if cap(b.Bytes()) < 100 {
+				t.Fatalf("Cap=%d < requested", cap(b.Bytes()))
 			}
-			if b.Refs() != 1 {
-				t.Fatalf("fresh buffer refs=%d", b.Refs())
+			if b.refs.Load() != 1 {
+				t.Fatalf("fresh buffer refs=%d", b.refs.Load())
 			}
 			// The block must be writable over its full requested length.
 			for i := range b.Bytes() {
@@ -111,8 +111,8 @@ func TestRetainRelease(t *testing.T) {
 			}
 			b.Retain()
 			b.Retain()
-			if b.Refs() != 3 {
-				t.Fatalf("refs = %d", b.Refs())
+			if b.refs.Load() != 3 {
+				t.Fatalf("refs = %d", b.refs.Load())
 			}
 			b.Release()
 			b.Release()
@@ -162,27 +162,6 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-func TestResize(t *testing.T) {
-	a := NewTable(0)
-	b, err := a.Alloc(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Resize(b.Cap()); err != nil {
-		t.Fatalf("Resize to cap: %v", err)
-	}
-	if len(b.Bytes()) != b.Cap() {
-		t.Fatal("Resize did not extend Bytes")
-	}
-	if err := b.Resize(b.Cap() + 1); err == nil {
-		t.Fatal("Resize beyond cap succeeded")
-	}
-	if err := b.Resize(-1); err == nil {
-		t.Fatal("negative Resize succeeded")
-	}
-	b.Release()
-}
-
 func TestFixedExhaustion(t *testing.T) {
 	p, err := NewFixed([]FixedClass{{Size: 128, Count: 2}})
 	if err != nil {
@@ -199,8 +178,8 @@ func TestFixedExhaustion(t *testing.T) {
 	if _, err := p.Alloc(100); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("third alloc: %v", err)
 	}
-	if p.FreeBlocks() != 0 {
-		t.Fatalf("FreeBlocks = %d", p.FreeBlocks())
+	if in := p.Stats().InUse; in != 2 {
+		t.Fatalf("InUse = %d, want both blocks", in)
 	}
 	b1.Release()
 	if _, err := p.Alloc(100); err != nil {
@@ -221,8 +200,8 @@ func TestFixedFirstFitPicksSmallestClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Cap() != 64 {
-		t.Fatalf("first fit chose %d-byte block for 10-byte request", b.Cap())
+	if cap(b.Bytes()) != 64 {
+		t.Fatalf("first fit chose %d-byte block for 10-byte request", cap(b.Bytes()))
 	}
 	b.Release()
 }
@@ -239,11 +218,13 @@ func TestFixedConfigValidation(t *testing.T) {
 			t.Errorf("case %d: NewFixed accepted bad config", i)
 		}
 	}
-	mustPanic(t, "MustFixed", func() { MustFixed(nil) })
 }
 
 func TestFixedClose(t *testing.T) {
-	p := MustFixed([]FixedClass{{Size: 64, Count: 1}})
+	p, err := NewFixed([]FixedClass{{Size: 64, Count: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b, err := p.Alloc(10)
 	if err != nil {
 		t.Fatal(err)
@@ -255,20 +236,32 @@ func TestFixedClose(t *testing.T) {
 	b.Release() // releasing into a closed pool must not panic
 }
 
+// bucketSize reports the block size a table pool serves a request of n
+// bytes from: the capacity of the block it hands out.
+func bucketSize(p *Table, n int) (int, error) {
+	b, err := p.Alloc(n)
+	if err != nil {
+		return 0, err
+	}
+	defer b.Release()
+	return cap(b.Bytes()), nil
+}
+
 func TestTableBucketSizes(t *testing.T) {
 	cases := []struct{ req, want int }{
 		{0, 64}, {1, 64}, {64, 64}, {65, 128}, {128, 128},
 		{129, 256}, {4096, 4096}, {4097, 8192},
 		{MaxBlock - 1, MaxBlock}, {MaxBlock, MaxBlock},
 	}
+	p := NewTable(0)
 	for _, c := range cases {
-		got, err := BucketSize(c.req)
+		got, err := bucketSize(p, c.req)
 		if err != nil || got != c.want {
-			t.Errorf("BucketSize(%d) = %d, %v; want %d", c.req, got, err, c.want)
+			t.Errorf("bucket for %d bytes = %d, %v; want %d", c.req, got, err, c.want)
 		}
 	}
-	if _, err := BucketSize(MaxBlock + 1); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("BucketSize oversize: %v", err)
+	if _, err := p.Alloc(MaxBlock + 1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversize alloc: %v", err)
 	}
 }
 
@@ -285,8 +278,17 @@ func TestTableRetainBound(t *testing.T) {
 	for _, b := range bufs {
 		b.Release()
 	}
-	if p.FreeBlocks() != 2 {
-		t.Fatalf("free list kept %d blocks, retain is 2", p.FreeBlocks())
+	// Only the retained blocks come back without growing the pool.
+	grows := p.Stats().Grows
+	for i := range bufs {
+		b, err := p.Alloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs[i] = b
+	}
+	if kept := len(bufs) - int(p.Stats().Grows-grows); kept != 2 {
+		t.Fatalf("free list kept %d blocks, retain is 2", kept)
 	}
 }
 
@@ -302,8 +304,10 @@ func TestTableClose(t *testing.T) {
 		t.Fatalf("alloc after close: %v", err)
 	}
 	b.Release()
-	if p.FreeBlocks() != 0 {
-		t.Fatal("closed pool retained a released block")
+	for i := range p.buckets {
+		if len(p.buckets[i].free) != 0 {
+			t.Fatal("closed pool retained a released block")
+		}
 	}
 }
 
@@ -356,9 +360,10 @@ func TestConcurrentAllocRelease(t *testing.T) {
 }
 
 func TestQuickBucketSizeInvariants(t *testing.T) {
+	p := NewTable(0)
 	f := func(n uint32) bool {
 		req := int(n % (MaxBlock + 1))
-		got, err := BucketSize(req)
+		got, err := bucketSize(p, req)
 		if err != nil {
 			return false
 		}
@@ -382,7 +387,7 @@ func TestQuickAllocLenMatchesRequest(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := b.Len() == req && len(b.Bytes()) == req && b.Cap() >= req
+		ok := b.Len() == req && len(b.Bytes()) == req && cap(b.Bytes()) >= req
 		b.Release()
 		return ok
 	}

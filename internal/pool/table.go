@@ -70,15 +70,6 @@ func NewTable(retain int) *Table {
 // Name implements Allocator.
 func (p *Table) Name() string { return "table" }
 
-// BucketSize returns the block size a request of n bytes is served from.
-func BucketSize(n int) (int, error) {
-	if n < 0 || n > MaxBlock {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	idx := sizeToBucket[(n+granularity-1)/granularity]
-	return minBucketSize << idx, nil
-}
-
 // Alloc implements Allocator: a table lookup, then a pop from the bucket's
 // free list, growing on demand.
 func (p *Table) Alloc(n int) (*Buffer, error) {
@@ -136,15 +127,3 @@ func (p *Table) Close() {
 
 // Stats implements Allocator.
 func (p *Table) Stats() Stats { return p.snapshot() }
-
-// FreeBlocks reports the total free list population across buckets.
-func (p *Table) FreeBlocks() int {
-	n := 0
-	for i := range p.buckets {
-		b := &p.buckets[i]
-		b.mu.Lock()
-		n += len(b.free)
-		b.mu.Unlock()
-	}
-	return n
-}

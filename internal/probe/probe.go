@@ -10,9 +10,7 @@
 package probe
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,24 +167,6 @@ func (r *Registry) Reset() {
 		p.Reset()
 	}
 }
-
-// Table renders a whitebox report in the style of the paper's Table 1:
-// one row per probe with the median in microseconds.  The Dropped column
-// counts samples discarded after a point's buffer filled — a nonzero
-// value means the statistics describe only the first DefaultCapacity
-// samples, not the whole run.
-func (r *Registry) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %12s %12s %10s %8s %8s\n", "Activity", "Median (µs)", "Mean (µs)", "σ (µs)", "Samples", "Dropped")
-	for _, p := range r.Points() {
-		s := p.Stats()
-		fmt.Fprintf(&b, "%-32s %12.2f %12.2f %10.2f %8d %8d\n",
-			s.Name, us(s.Median), us(s.Mean), us(s.StdDev), s.Count, s.Dropped)
-	}
-	return b.String()
-}
-
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // Default is the process-wide registry used by the executive and the
 // transports.

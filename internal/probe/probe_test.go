@@ -2,7 +2,6 @@ package probe
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -101,18 +100,6 @@ func TestPointIdentityAndOrder(t *testing.T) {
 	pts := r.Points()
 	if len(pts) != 2 || pts[0].Name() != "a-probe" || pts[1].Name() != "b-probe" {
 		t.Fatalf("points order: %v %v", pts[0].Name(), pts[1].Name())
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	Enable(true)
-	defer Enable(false)
-	var r Registry
-	r.Point("pt.gm.processing").Record(2920 * time.Nanosecond)
-	r.Point("exec.demux").Record(220 * time.Nanosecond)
-	tab := r.Table()
-	if !strings.Contains(tab, "pt.gm.processing") || !strings.Contains(tab, "2.92") {
-		t.Fatalf("table:\n%s", tab)
 	}
 }
 

@@ -198,16 +198,6 @@ func New(e *executive.Executive) (*Agent, error) {
 	return a, nil
 }
 
-// MustNew is New for program setup paths that cannot proceed without an
-// agent; it panics on error.
-func MustNew(e *executive.Executive) *Agent {
-	a, err := New(e)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Register adds a transport under its route name and plugs its device
 // module.  Task-mode transports are started immediately.
 func (a *Agent) Register(pt PeerTransport, mode Mode) error {
@@ -230,6 +220,9 @@ func (a *Agent) Register(pt PeerTransport, mode Mode) error {
 		return a.exec.InjectFrom(src, route, m)
 	}
 	s.dev.Params().Set("mode", mode.String())
+	// Setting "suspended" pauses the transport: forwards fail with
+	// ErrSuspended and the scan loop skips it — the paper's advice for
+	// protecting a low-latency PT from a slow one.
 	s.dev.Params().Set("suspended", false)
 	s.dev.Params().OnSet(func(changed []i2o.Param) {
 		for _, p := range changed {
@@ -396,24 +389,6 @@ func (a *Agent) Forward(route string, dst i2o.NodeID, m *i2o.Message) error {
 	}
 }
 
-// Suspend pauses or resumes a transport.  Suspended polling transports are
-// skipped by the scan loop — the paper's advice for protecting a
-// low-latency PT from a slow one.
-func (a *Agent) Suspend(route string, suspended bool) error {
-	a.mu.RLock()
-	s := a.slots[route]
-	a.mu.RUnlock()
-	if s == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownRoute, route)
-	}
-	s.suspended.Store(suspended)
-	s.dev.Params().Set("suspended", suspended)
-	if !suspended && s.mode == Polling {
-		a.wakePoll()
-	}
-	return nil
-}
-
 // Routes returns the registered route names.
 func (a *Agent) Routes() []string {
 	a.mu.RLock()
@@ -423,18 +398,6 @@ func (a *Agent) Routes() []string {
 		out = append(out, name)
 	}
 	return out
-}
-
-// Stats summarizes agent activity.
-type Stats struct {
-	Sent     uint64
-	Received uint64
-	Errors   uint64
-}
-
-// Stats returns a snapshot of the agent's counters.
-func (a *Agent) Stats() Stats {
-	return Stats{Sent: a.nSent.Value(), Received: a.nReceived.Value(), Errors: a.nErrors.Value()}
 }
 
 // pollBudget bounds the frames drained from one transport per scan so one

@@ -19,6 +19,7 @@ type fakePT struct {
 	pending []fakeFrame // frames Poll will deliver
 	started atomic.Bool
 	stopped atomic.Bool
+	polls   atomic.Int64 // Poll calls so far
 	sendErr error
 }
 
@@ -43,6 +44,7 @@ func (f *fakePT) Send(dst i2o.NodeID, m *i2o.Message) error {
 func (f *fakePT) Start(Deliver) error { f.started.Store(true); return nil }
 
 func (f *fakePT) Poll(fn Deliver, budget int) int {
+	f.polls.Add(1)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0
@@ -81,6 +83,34 @@ func newAgent(t *testing.T) (*executive.Executive, *Agent) {
 		e.Close()
 	})
 	return e, a
+}
+
+// count reads one of the agent's pta.* counters from the executive's
+// metrics registry.
+func count(a *Agent, name string) uint64 {
+	return a.exec.Metrics().Counter("pta." + name).Value()
+}
+
+// suspend sets a transport's "suspended" parameter the way an operator
+// does: a UtilParamsSet frame to the transport's device.
+func suspend(t *testing.T, a *Agent, route string, on bool) {
+	t.Helper()
+	tid, err := a.exec.Resolve(route, 0, i2o.NodeNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := i2o.EncodeParams([]i2o.Param{{Key: "suspended", Value: on}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.exec.Request(&i2o.Message{
+		Target: tid, Initiator: i2o.TIDExecutive,
+		Function: i2o.UtilParamsSet, Payload: payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Release()
 }
 
 func TestAgentPlugsDeviceAndRoutes(t *testing.T) {
@@ -124,14 +154,14 @@ func TestForward(t *testing.T) {
 	if err := a.Forward("pt.fake", 2, m); err != nil {
 		t.Fatal(err)
 	}
-	if len(pt.sent) != 1 || a.Stats().Sent != 1 {
-		t.Fatalf("sent %d stats %+v", len(pt.sent), a.Stats())
+	if len(pt.sent) != 1 || count(a, "sent") != 1 {
+		t.Fatalf("sent %d, pta.sent %d", len(pt.sent), count(a, "sent"))
 	}
 	if err := a.Forward("pt.none", 2, &i2o.Message{Target: 5, Function: i2o.UtilNOP}); !errors.Is(err, ErrUnknownRoute) {
 		t.Fatalf("unknown route: %v", err)
 	}
-	if a.Stats().Errors != 1 {
-		t.Fatalf("stats %+v", a.Stats())
+	if count(a, "errors") != 1 {
+		t.Fatalf("pta.errors %d", count(a, "errors"))
 	}
 }
 
@@ -145,8 +175,8 @@ func TestForwardSendError(t *testing.T) {
 	if err := a.Forward("pt.bad", 2, &i2o.Message{Target: 5, Function: i2o.UtilNOP}); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
-	if a.Stats().Errors != 1 {
-		t.Fatalf("stats %+v", a.Stats())
+	if count(a, "errors") != 1 {
+		t.Fatalf("pta.errors %d", count(a, "errors"))
 	}
 }
 
@@ -156,21 +186,14 @@ func TestSuspendBlocksForward(t *testing.T) {
 	if err := a.Register(pt, Task); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Suspend("pt.fake", true); err != nil {
-		t.Fatal(err)
-	}
+	suspend(t, a, "pt.fake", true)
 	err := a.Forward("pt.fake", 2, &i2o.Message{Target: 5, Function: i2o.UtilNOP})
 	if !errors.Is(err, ErrSuspended) {
 		t.Fatalf("suspended forward: %v", err)
 	}
-	if err := a.Suspend("pt.fake", false); err != nil {
-		t.Fatal(err)
-	}
+	suspend(t, a, "pt.fake", false)
 	if err := a.Forward("pt.fake", 2, &i2o.Message{Target: 5, Function: i2o.UtilNOP}); err != nil {
 		t.Fatalf("resumed forward: %v", err)
-	}
-	if err := a.Suspend("pt.none", true); !errors.Is(err, ErrUnknownRoute) {
-		t.Fatalf("suspend unknown: %v", err)
 	}
 }
 
@@ -217,26 +240,37 @@ func TestPollingDelivery(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if a.Stats().Received != 1 {
-		t.Fatalf("stats %+v", a.Stats())
+	if count(a, "recv") != 1 {
+		t.Fatalf("pta.recv %d", count(a, "recv"))
 	}
 }
 
 func TestSuspendedPollingPTNotScanned(t *testing.T) {
-	e, a := newAgent(t)
+	_, a := newAgent(t)
 	pt := &fakePT{name: "pt.poll"}
-	if err := a.Register(pt, Polling); err != nil {
-		t.Fatal(err)
+	probe := &fakePT{name: "pt.probe"}
+	for _, p := range []*fakePT{pt, probe} {
+		if err := a.Register(p, Polling); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Suspend("pt.poll", true); err != nil {
-		t.Fatal(err)
+	suspend(t, a, "pt.poll", true)
+	// A scan that took its snapshot before the suspension landed may still
+	// poll pt.poll.  The probe is polled once per scan, so the second probe
+	// poll from here on belongs to a scan that started after that one ended.
+	after := probe.polls.Load() + 2
+	deadline := time.Now().Add(2 * time.Second)
+	for probe.polls.Load() < after {
+		if time.Now().After(deadline) {
+			t.Fatal("scan loop stopped polling the probe")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	pt.enqueue(2, &i2o.Message{Target: i2o.TIDExecutive, Function: i2o.UtilNOP})
 	time.Sleep(30 * time.Millisecond)
-	if got := a.Stats().Received; got != 0 {
+	if got := count(a, "recv"); got != 0 {
 		t.Fatalf("suspended PT delivered %d frames", got)
 	}
-	_ = e
 }
 
 // TestResumeWakesParkedPollLoop pins the scan loop's parking behaviour:
@@ -249,17 +283,13 @@ func TestResumeWakesParkedPollLoop(t *testing.T) {
 	if err := a.Register(pt, Polling); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Suspend("pt.poll", true); err != nil {
-		t.Fatal(err)
-	}
+	suspend(t, a, "pt.poll", true)
 	// Give the loop time to observe the empty polling set and park.
 	time.Sleep(10 * time.Millisecond)
 	pt.enqueue(2, &i2o.Message{Target: i2o.TIDExecutive, Function: i2o.UtilNOP})
-	if err := a.Suspend("pt.poll", false); err != nil {
-		t.Fatal(err)
-	}
+	suspend(t, a, "pt.poll", false)
 	deadline := time.After(2 * time.Second)
-	for a.Stats().Received == 0 {
+	for count(a, "recv") == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("resumed PT never scanned again")

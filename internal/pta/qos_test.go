@@ -131,8 +131,8 @@ func TestQoSForwardRejects(t *testing.T) {
 	if len(pt.sent) != 1 {
 		t.Fatalf("transport saw %d frames, want 1", len(pt.sent))
 	}
-	if a.Stats().Errors != 1 {
-		t.Fatalf("stats %+v", a.Stats())
+	if count(a, "errors") != 1 {
+		t.Fatalf("pta.errors %d", count(a, "errors"))
 	}
 }
 

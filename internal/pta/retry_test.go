@@ -101,7 +101,7 @@ func TestRetryRecoversInjectedRefusals(t *testing.T) {
 }
 
 func TestNoRetryWithoutPolicy(t *testing.T) {
-	in := faults.New(1).ErrorNth(1) // refuse every frame
+	in := faults.New(1).Add(faults.Rule{Op: faults.Error, Nth: 1}) // refuse every frame
 	a, _ := retryPair(t, in, nil)
 	_, err := a.Discover(2, "echo", 0)
 	if err == nil {

@@ -82,7 +82,8 @@ func TestRetryPreservesSegmentList(t *testing.T) {
 	if !ok {
 		t.Fatalf("accepted frame has no segment list (buffer %T)", got.Buffer())
 	}
-	if !bytes.Equal(gl.Bytes(), data) {
+	body := make([]byte, gl.Len())
+	if _, err := gl.CopyTo(0, body); err != nil || !bytes.Equal(body, data) {
 		t.Fatal("accepted frame's chained body differs from the original")
 	}
 

@@ -1,6 +1,5 @@
 // Package queue implements the messaging instance of an IOP: the inbound
-// frame scheduler with the I2O dispatch discipline, and the plain bounded
-// FIFOs used for outbound paths and simulated hardware queues.
+// frame scheduler with the I2O dispatch discipline.
 //
 // The paper (§4): "For scheduling the dispatching of messages we follow the
 // algorithm given in the I2O specification.  There exist seven priority
@@ -24,10 +23,10 @@ import (
 
 // Errors.
 var (
-	// ErrFull reports a push to a scheduler or FIFO at capacity.
+	// ErrFull reports a push to a scheduler at capacity.
 	ErrFull = errors.New("queue: full")
 
-	// ErrClosed reports a push to a closed queue.
+	// ErrClosed reports a push to a closed scheduler.
 	ErrClosed = errors.New("queue: closed")
 )
 
@@ -162,10 +161,10 @@ func (l *level) popEligible(busy map[i2o.TID]struct{}) (item, bool) {
 	return item{}, false
 }
 
-// Sched is the inbound scheduler.  It is safe for concurrent use.  Pop and
-// PopBatch serve a single consumer; PopExclusiveBatch plus DeviceDone serve
-// N consumers while preserving the I2O discipline (per-device FIFO with at
-// most one exclusive frame of a device in flight at a time).
+// Sched is the inbound scheduler.  It is safe for concurrent use.
+// PopExclusiveBatch plus DeviceDone serve N consumers while preserving the
+// I2O discipline (per-device FIFO with at most one exclusive frame of a
+// device in flight at a time).
 type Sched struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
@@ -240,33 +239,6 @@ func (s *Sched) Push(m *i2o.Message) error {
 	return nil
 }
 
-// Pop blocks until a frame is available and returns it, serving the lowest
-// non-empty priority level and rotating among that level's devices.  It
-// returns (nil, false) once the scheduler is closed and drained.
-func (s *Sched) Pop() (*i2o.Message, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.size > 0 {
-			return s.popLocked(), true
-		}
-		if s.closed {
-			return nil, false
-		}
-		s.notEmpty.Wait()
-	}
-}
-
-// TryPop returns the next frame without blocking.
-func (s *Sched) TryPop() (*i2o.Message, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.size == 0 {
-		return nil, false
-	}
-	return s.popLocked(), true
-}
-
 func (s *Sched) popLocked() *i2o.Message {
 	for p := range s.levels {
 		if it := s.levels[p].pop(); it.m != nil {
@@ -278,32 +250,6 @@ func (s *Sched) popLocked() *i2o.Message {
 		}
 	}
 	panic("queue: size positive but all levels empty")
-}
-
-// PopBatch blocks until at least one frame is available and then fills dst
-// with up to len(dst) frames in exactly the order repeated Pop calls would
-// have returned them, under a single lock acquisition.  It returns the
-// count and false once the scheduler is closed and drained.
-func (s *Sched) PopBatch(dst []*i2o.Message) (int, bool) {
-	if len(dst) == 0 {
-		return 0, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.size > 0 {
-			n := 0
-			for n < len(dst) && s.size > 0 {
-				dst[n] = s.popLocked()
-				n++
-			}
-			return n, true
-		}
-		if s.closed {
-			return 0, false
-		}
-		s.notEmpty.Wait()
-	}
 }
 
 // PopExclusiveBatch blocks until at least one eligible frame is available
@@ -406,8 +352,9 @@ func (s *Sched) Interrupt() {
 	s.notEmpty.Broadcast()
 }
 
-// Close wakes all blocked consumers.  Remaining frames are still drained by
-// Pop; pushes after Close fail with ErrClosed.
+// Close wakes all blocked consumers.  PopExclusiveBatch still hands out the
+// remaining frames and reports closed once none are left; pushes after
+// Close fail with ErrClosed.
 func (s *Sched) Close() {
 	s.mu.Lock()
 	s.closed = true

@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,46 +15,6 @@ func reply(target i2o.TID, prio i2o.Priority, seq uint32) *i2o.Message {
 	m := msg(target, prio, seq)
 	m.Flags = i2o.FlagReply
 	return m
-}
-
-func TestPopBatchMatchesPopOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	one, batched := NewSched(0), NewSched(0)
-	const frames = 500
-	for i := 0; i < frames; i++ {
-		f := msg(i2o.TID(1+r.Intn(6)), i2o.Priority(r.Intn(i2o.NumPriorities)), uint32(i))
-		if err := one.Push(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.Push(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want, got []*i2o.Message
-	for {
-		m, ok := one.TryPop()
-		if !ok {
-			break
-		}
-		want = append(want, m)
-	}
-	buf := make([]*i2o.Message, 7) // odd size so batches straddle devices
-	batched.Close()
-	for {
-		n, ok := batched.PopBatch(buf)
-		if !ok {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("PopBatch drained %d frames, Pop %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order diverges at %d: batch %v, pop %v", i, got[i], want[i])
-		}
-	}
 }
 
 func TestExclusiveBatchChecksOutDevice(t *testing.T) {

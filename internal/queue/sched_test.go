@@ -20,6 +20,22 @@ func msg(target i2o.TID, prio i2o.Priority, seq uint32) *i2o.Message {
 	}
 }
 
+// pop takes the next frame the way one dispatch worker does: it checks the
+// frame out with PopExclusiveBatch and hands its device straight back with
+// DeviceDone.  It returns false instead of blocking when nothing is queued.
+func pop(s *Sched) (*i2o.Message, bool) {
+	if s.Len() == 0 {
+		return nil, false
+	}
+	var buf [1]*i2o.Message
+	var epoch uint64
+	if n, _ := s.PopExclusiveBatch(buf[:], &epoch); n == 0 {
+		return nil, false
+	}
+	s.DeviceDone(buf[0].Target)
+	return buf[0], true
+}
+
 func TestSchedFIFOWithinDevice(t *testing.T) {
 	s := NewSched(0)
 	for i := uint32(0); i < 100; i++ {
@@ -28,7 +44,7 @@ func TestSchedFIFOWithinDevice(t *testing.T) {
 		}
 	}
 	for i := uint32(0); i < 100; i++ {
-		m, ok := s.TryPop()
+		m, ok := pop(s)
 		if !ok || m.InitiatorContext != i {
 			t.Fatalf("pop %d: got %v ok=%v", i, m, ok)
 		}
@@ -47,7 +63,7 @@ func TestSchedPriorityOrder(t *testing.T) {
 		}
 	}
 	for want := i2o.Priority(0); want < i2o.NumPriorities; want++ {
-		m, ok := s.TryPop()
+		m, ok := pop(s)
 		if !ok || m.Priority != want {
 			t.Fatalf("want priority %d, got %v", want, m)
 		}
@@ -66,7 +82,7 @@ func TestSchedRoundRobinAcrossDevices(t *testing.T) {
 	}
 	var order []i2o.TID
 	for {
-		m, ok := s.TryPop()
+		m, ok := pop(s)
 		if !ok {
 			break
 		}
@@ -88,7 +104,7 @@ func TestSchedRoundRobinNoStarvation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, _ := s.TryPop() // serve one frame of device 1
+	m, _ := pop(s) // serve one frame of device 1
 	if m.Target != 1 {
 		t.Fatal("first pop")
 	}
@@ -97,8 +113,8 @@ func TestSchedRoundRobinNoStarvation(t *testing.T) {
 	}
 	// Device 2 must be served within one full rotation (i.e. among the next
 	// two pops), and service then alternates — the backlog cannot starve it.
-	first, _ := s.TryPop()
-	second, _ := s.TryPop()
+	first, _ := pop(s)
+	second, _ := pop(s)
 	if first.Target != 2 && second.Target != 2 {
 		t.Fatalf("late-arriving device starved: popped %v then %v", first, second)
 	}
@@ -108,8 +124,10 @@ func TestSchedBlockingPop(t *testing.T) {
 	s := NewSched(0)
 	got := make(chan *i2o.Message, 1)
 	go func() {
-		m, _ := s.Pop()
-		got <- m
+		buf := make([]*i2o.Message, 1)
+		var epoch uint64
+		s.PopExclusiveBatch(buf, &epoch)
+		got <- buf[0]
 	}()
 	time.Sleep(10 * time.Millisecond)
 	if err := s.Push(msg(1, 0, 42)); err != nil {
@@ -121,7 +139,7 @@ func TestSchedBlockingPop(t *testing.T) {
 			t.Fatalf("got %v", m)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("Pop did not wake")
+		t.Fatal("PopExclusiveBatch did not wake")
 	}
 }
 
@@ -134,11 +152,14 @@ func TestSchedCloseDrains(t *testing.T) {
 	if err := s.Push(msg(1, 0, 2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("push after close: %v", err)
 	}
-	if m, ok := s.Pop(); !ok || m.InitiatorContext != 1 {
-		t.Fatalf("drain pop: %v %v", m, ok)
+	buf := make([]*i2o.Message, 2)
+	var epoch uint64
+	if n, ok := s.PopExclusiveBatch(buf, &epoch); !ok || n != 1 || buf[0].InitiatorContext != 1 {
+		t.Fatalf("drain pop: n=%d ok=%v %v", n, ok, buf[0])
 	}
-	if _, ok := s.Pop(); ok {
-		t.Fatal("pop after drain returned a frame")
+	s.DeviceDone(1)
+	if n, ok := s.PopExclusiveBatch(buf, &epoch); ok || n != 0 {
+		t.Fatalf("pop after drain: n=%d ok=%v", n, ok)
 	}
 }
 
@@ -153,7 +174,7 @@ func TestSchedCapacity(t *testing.T) {
 	if err := s.Push(msg(1, 0, 3)); !errors.Is(err, ErrFull) {
 		t.Fatalf("over-capacity push: %v", err)
 	}
-	s.TryPop()
+	pop(s)
 	if err := s.Push(msg(1, 0, 3)); err != nil {
 		t.Fatalf("push after pop: %v", err)
 	}
@@ -214,12 +235,19 @@ func TestSchedConcurrentProducers(t *testing.T) {
 	go func() {
 		n := 0
 		perDev := make(map[i2o.TID]uint32)
+		buf := make([]*i2o.Message, 1)
+		var epoch uint64
 		for {
-			m, ok := s.Pop()
+			k, ok := s.PopExclusiveBatch(buf, &epoch)
 			if !ok {
 				done <- n
 				return
 			}
+			if k == 0 {
+				continue
+			}
+			m := buf[0]
+			s.DeviceDone(m.Target)
 			// Per (device, priority) order is FIFO; with priorities mixed we
 			// only check sequence monotonicity per device per priority via
 			// context encoding (i%7 == priority so contexts at one priority
@@ -292,7 +320,7 @@ func TestQuickSchedMatchesModel(t *testing.T) {
 				}
 				m.push(f)
 			} else {
-				got, ok := s.TryPop()
+				got, ok := pop(s)
 				want := m.pop()
 				if !ok || got != want {
 					t.Logf("seed %d op %d: got %v want %v", seed, op, got, want)
@@ -301,7 +329,7 @@ func TestQuickSchedMatchesModel(t *testing.T) {
 			}
 		}
 		for {
-			got, ok := s.TryPop()
+			got, ok := pop(s)
 			want := m.pop()
 			if !ok {
 				return want == nil
@@ -313,5 +341,27 @@ func TestQuickSchedMatchesModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDequeGrowth(t *testing.T) {
+	var d deque
+	// Interleave pushes and pops so head is nonzero when growth happens.
+	for i := uint32(0); i < 3; i++ {
+		d.pushBack(item{m: msg(1, 0, i)})
+	}
+	d.popFront()
+	d.popFront()
+	for i := uint32(3); i < 50; i++ {
+		d.pushBack(item{m: msg(1, 0, i)})
+	}
+	for want := uint32(2); want < 50; want++ {
+		it := d.popFront()
+		if it.m == nil || it.m.InitiatorContext != want {
+			t.Fatalf("popFront = %v, want seq %d", it.m, want)
+		}
+	}
+	if d.len() != 0 || d.popFront().m != nil {
+		t.Fatal("deque not empty at end")
 	}
 }

@@ -35,8 +35,8 @@ func FuzzSGLRoundTrip(f *testing.F) {
 		if l.Len() != len(data) {
 			t.Fatalf("Len() = %d, want %d", l.Len(), len(data))
 		}
-		if got := l.Bytes(); !bytes.Equal(got, data) {
-			t.Fatalf("Bytes() round trip differs")
+		if got := flat(l); !bytes.Equal(got, data) {
+			t.Fatalf("CopyTo round trip differs")
 		}
 
 		// Frame with the list attached, gathered segment-per-iovec.

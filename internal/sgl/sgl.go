@@ -12,7 +12,6 @@ package sgl
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"xdaq/internal/i2o"
@@ -48,7 +47,7 @@ const DefaultSegment = pool.MaxBlock
 
 // Build allocates a list of total bytes, chaining blocks of segSize
 // (segSize <= 0 selects DefaultSegment).  The content is uninitialized;
-// use a Writer or CopyFrom to fill it.
+// use CopyFrom to fill it.
 func Build(alloc pool.Allocator, total, segSize int) (*List, error) {
 	if total < 0 {
 		return nil, fmt.Errorf("%w: total %d", ErrRange, total)
@@ -107,19 +106,6 @@ func newList() *List {
 // the list keeps its one reference per segment until the last holder lets
 // go.
 func (l *List) Retain() { l.refs.Add(1) }
-
-// Clone returns a new list sharing the same blocks, each block retained
-// once for the clone's own per-segment reference.  Both lists must
-// eventually be released.
-func (l *List) Clone() *List {
-	c := newList()
-	c.segs = append([]*pool.Buffer(nil), l.segs...)
-	c.length = l.length
-	for _, s := range c.segs {
-		s.Retain()
-	}
-	return c
-}
 
 // Release drops one holder.  When the last holder releases, every block's
 // reference count is decremented, recycling those that reach zero, and the
@@ -181,112 +167,4 @@ func (l *List) CopyTo(off int, dst []byte) (int, error) {
 		so = 0
 	}
 	return total, nil
-}
-
-// Bytes returns the list contents as one contiguous slice.  A
-// single-segment list returns its block's slice directly — no allocation,
-// no copy; the caller must not outlive the list's reference.  Longer
-// chains flatten into a new slice; the point of an SGL is to avoid that
-// copy, so hot paths should gather segments instead (see Walk and
-// i2o.Message.AppendBody).
-func (l *List) Bytes() []byte {
-	if len(l.segs) == 1 {
-		return l.segs[0].Bytes()
-	}
-	out := make([]byte, l.length)
-	_, _ = l.CopyTo(0, out)
-	return out
-}
-
-// Walk calls fn for every segment in order, stopping at the first error.
-// Transports use Walk to transmit a chained payload without flattening it.
-func (l *List) Walk(fn func(seg []byte) error) error {
-	for _, s := range l.segs {
-		if err := fn(s.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reader returns an io.Reader over the list contents.  The reader does not
-// retain the list; the caller keeps it alive.
-func (l *List) Reader() io.Reader { return &reader{l: l} }
-
-type reader struct {
-	l   *List
-	off int
-}
-
-func (r *reader) Read(p []byte) (int, error) {
-	if r.off >= r.l.length {
-		return 0, io.EOF
-	}
-	n, err := r.l.CopyTo(r.off, p)
-	r.off += n
-	return n, err
-}
-
-// Writer appends bytes to a growing list, allocating blocks on demand.
-type Writer struct {
-	alloc   pool.Allocator
-	segSize int
-	list    *List
-	fill    int // bytes used in the final segment
-	err     error
-}
-
-// NewWriter returns a writer chaining blocks of segSize (<= 0 selects
-// DefaultSegment) from alloc.
-func NewWriter(alloc pool.Allocator, segSize int) *Writer {
-	if segSize <= 0 {
-		segSize = DefaultSegment
-	}
-	if segSize > pool.MaxBlock {
-		segSize = pool.MaxBlock
-	}
-	return &Writer{alloc: alloc, segSize: segSize, list: newList()}
-}
-
-// Write implements io.Writer.
-func (w *Writer) Write(p []byte) (int, error) {
-	if w.err != nil {
-		return 0, w.err
-	}
-	written := 0
-	for len(p) > 0 {
-		if w.fill == 0 || w.fill == w.segSize {
-			b, err := w.alloc.Alloc(w.segSize)
-			if err != nil {
-				w.err = err
-				return written, err
-			}
-			w.list.segs = append(w.list.segs, b)
-			w.fill = 0
-		}
-		seg := w.list.segs[len(w.list.segs)-1]
-		n := copy(seg.Bytes()[w.fill:], p)
-		w.fill += n
-		w.list.length += n
-		p = p[n:]
-		written += n
-	}
-	return written, nil
-}
-
-// List finalizes and returns the accumulated list, shrinking the final
-// block to its used length.  The writer must not be used afterwards.
-func (w *Writer) List() (*List, error) {
-	if w.err != nil {
-		w.list.Release()
-		return nil, w.err
-	}
-	if n := len(w.list.segs); n > 0 && w.fill < w.segSize {
-		if err := w.list.segs[n-1].Resize(w.fill); err != nil {
-			return nil, err
-		}
-	}
-	l := w.list
-	w.list = nil
-	return l, nil
 }

@@ -3,7 +3,6 @@ package sgl
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,6 +11,15 @@ import (
 )
 
 func newPool() pool.Allocator { return pool.NewTable(0) }
+
+// flat reads the whole list through CopyTo.
+func flat(l *List) []byte {
+	out := make([]byte, l.Len())
+	if _, err := l.CopyTo(0, out); err != nil {
+		panic(err)
+	}
+	return out
+}
 
 func TestBuildSegmentation(t *testing.T) {
 	p := newPool()
@@ -66,7 +74,7 @@ func TestFromBytesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(l.Bytes(), data) {
+	if !bytes.Equal(flat(l), data) {
 		t.Fatal("round trip mismatch")
 	}
 	l.Release()
@@ -120,7 +128,7 @@ func TestCopyFromAcrossBoundaries(t *testing.T) {
 	if err := l.CopyFrom(2, []byte("ABCDE")); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(l.Bytes()); got != "00ABCDE000" {
+	if got := string(flat(l)); got != "00ABCDE000" {
 		t.Fatalf("content = %q", got)
 	}
 	if err := l.CopyFrom(8, []byte("xyz")); !errors.Is(err, ErrRange) {
@@ -131,108 +139,18 @@ func TestCopyFromAcrossBoundaries(t *testing.T) {
 	}
 }
 
-func TestWalkOrderAndError(t *testing.T) {
-	l, err := FromBytes(newPool(), []byte("abcdefg"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	var joined []byte
-	if err := l.Walk(func(seg []byte) error {
-		joined = append(joined, seg...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if string(joined) != "abcdefg" {
-		t.Fatalf("walk joined %q", joined)
-	}
-	boom := errors.New("boom")
-	calls := 0
-	if err := l.Walk(func([]byte) error { calls++; return boom }); !errors.Is(err, boom) {
-		t.Fatalf("walk error: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("walk continued after error: %d calls", calls)
-	}
-}
-
-func TestReader(t *testing.T) {
-	data := make([]byte, 5000)
-	rand.New(rand.NewSource(7)).Read(data)
-	l, err := FromBytes(newPool(), data, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	got, err := io.ReadAll(l.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("reader mismatch")
-	}
-}
-
-func TestWriterAccumulates(t *testing.T) {
-	p := newPool()
-	w := NewWriter(p, 4)
-	chunks := [][]byte{[]byte("ab"), []byte("cdefg"), {}, []byte("hij")}
-	var want []byte
-	for _, c := range chunks {
-		n, err := w.Write(c)
-		if err != nil || n != len(c) {
-			t.Fatalf("Write(%q) = %d, %v", c, n, err)
-		}
-		want = append(want, c...)
-	}
-	l, err := w.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(l.Bytes(), want) {
-		t.Fatalf("writer content %q, want %q", l.Bytes(), want)
-	}
-	// 10 bytes over 4-byte segments -> 3 segments, last resized to 2.
-	if l.Segments() != 3 || l.Segment(2) == nil || len(l.Segment(2)) != 2 {
-		t.Fatalf("segments=%d last=%d", l.Segments(), len(l.Segment(l.Segments()-1)))
-	}
-	l.Release()
-	if p.Stats().InUse != 0 {
-		t.Fatal("leak")
-	}
-}
-
-func TestWriterAllocFailure(t *testing.T) {
-	p := pool.MustFixed([]pool.FixedClass{{Size: 64, Count: 1}})
-	w := NewWriter(p, 64)
-	if _, err := w.Write(make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write([]byte("x")); err == nil {
-		t.Fatal("write past pool capacity succeeded")
-	}
-	if _, err := w.List(); err == nil {
-		t.Fatal("List after failed write succeeded")
-	}
-	// The failed writer must have released what it held.
-	if p.Stats().InUse != 0 {
-		t.Fatalf("failed writer leaked: %v", p.Stats())
-	}
-}
-
 func TestRetainReleaseChain(t *testing.T) {
 	p := newPool()
 	l, err := FromBytes(p, make([]byte, 100), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := l.Clone() // a second holder of the same chain
+	l.Retain() // a second holder of the same chain
 	l.Release()
 	if p.Stats().InUse == 0 {
 		t.Fatal("chain recycled while still retained")
 	}
-	l2.Release()
+	l.Release()
 	if p.Stats().InUse != 0 {
 		t.Fatal("chain leaked")
 	}
@@ -266,34 +184,6 @@ func TestRetainReleaseIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestQuickWriterMatchesFlat(t *testing.T) {
-	p := newPool()
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		segSize := 1 + r.Intn(300)
-		w := NewWriter(p, segSize)
-		var want []byte
-		for i, n := 0, r.Intn(8); i < n; i++ {
-			chunk := make([]byte, r.Intn(700))
-			r.Read(chunk)
-			if _, err := w.Write(chunk); err != nil {
-				return false
-			}
-			want = append(want, chunk...)
-		}
-		l, err := w.List()
-		if err != nil {
-			return false
-		}
-		ok := bytes.Equal(l.Bytes(), want) && l.Len() == len(want)
-		l.Release()
-		return ok && p.Stats().InUse == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickCopyToFromConsistent(t *testing.T) {
 	p := newPool()
 	f := func(seed int64) bool {
@@ -322,52 +212,9 @@ func TestQuickCopyToFromConsistent(t *testing.T) {
 			}
 			copy(ref[off:], patch)
 		}
-		return bytes.Equal(l.Bytes(), ref)
+		return bytes.Equal(flat(l), ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBytesSingleSegmentNoCopy(t *testing.T) {
-	p := newPool()
-	l, err := FromBytes(p, []byte("hello, wire"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	if l.Segments() != 1 {
-		t.Fatalf("%d segments, want 1", l.Segments())
-	}
-	got := l.Bytes()
-	seg := l.Segment(0)
-	if &got[0] != &seg[0] || len(got) != len(seg) {
-		t.Fatal("single-segment Bytes copied instead of aliasing the block")
-	}
-	// Writes through the returned slice must be visible in the list —
-	// the definition of no-copy.
-	got[0] = 'H'
-	if l.Segment(0)[0] != 'H' {
-		t.Fatal("returned slice does not alias the segment")
-	}
-}
-
-func TestBytesMultiSegmentFlattens(t *testing.T) {
-	p := newPool()
-	data := bytes.Repeat([]byte{1, 2, 3, 4, 5}, 100)
-	l, err := FromBytes(p, data, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	if l.Segments() < 2 {
-		t.Fatalf("%d segments, want a chain", l.Segments())
-	}
-	got := l.Bytes()
-	if !bytes.Equal(got, data) {
-		t.Fatal("flattened bytes differ")
-	}
-	if &got[0] == &l.Segment(0)[0] {
-		t.Fatal("multi-segment Bytes aliased the first block")
 	}
 }

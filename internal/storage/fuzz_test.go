@@ -64,8 +64,8 @@ func FuzzSegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Len() != n || r.Torn() != 0 {
-			t.Fatalf("clean segment reads as %d records, %d torn", r.Len(), r.Torn())
+		if r.Len() != n || r.torn != 0 {
+			t.Fatalf("clean segment reads as %d records, %d torn", r.Len(), r.torn)
 		}
 		for i := 0; i < n; i++ {
 			event, data, err := r.Record(i)
@@ -122,8 +122,8 @@ func FuzzSegment(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen after recovery+close: %v", err)
 		}
-		if r3.Torn() != 0 {
-			t.Fatalf("recovered segment closed with %d torn bytes", r3.Torn())
+		if r3.torn != 0 {
+			t.Fatalf("recovered segment closed with %d torn bytes", r3.torn)
 		}
 		for i := 0; i < r3.Len(); i++ {
 			if _, _, err := r3.Record(i); err != nil {

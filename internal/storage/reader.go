@@ -9,7 +9,7 @@ import (
 )
 
 // Reader gives checksum-verified access to one segment's records.  It is
-// read-only: a torn tail is reported, never truncated, so a reader can
+// read-only: a torn tail is skipped, never truncated, so a reader can
 // inspect a crashed segment without deciding its fate.
 type Reader struct {
 	f       *os.File
@@ -55,13 +55,6 @@ func OpenReader(path string) (*Reader, error) {
 
 // Len returns the number of valid records.
 func (r *Reader) Len() int { return len(r.entries) }
-
-// Torn returns how many trailing bytes fail validation — nonzero means
-// the segment was not closed cleanly.
-func (r *Reader) Torn() int64 { return r.torn }
-
-// Entry returns the i-th record's index entry.
-func (r *Reader) Entry(i int) IndexEntry { return r.entries[i] }
 
 // Record reads and verifies the i-th record.  The payload slice is valid
 // until the next Record call.

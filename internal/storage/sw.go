@@ -34,8 +34,8 @@ type SW struct {
 	w   *Writer
 	ctx *device.Context
 
-	killed           atomic.Bool
-	nAcked, nRefused atomic.Uint64
+	killed atomic.Bool
+	nAcked atomic.Uint64
 }
 
 // NewSW creates storage writer `instance`.  Attach a segment Writer
@@ -118,9 +118,8 @@ func (s *SW) Stats() Stats {
 	return w.Stats()
 }
 
-// Acked and Refused count the device-level ack outcomes.
-func (s *SW) Acked() uint64   { return s.nAcked.Load() }
-func (s *SW) Refused() uint64 { return s.nRefused.Load() }
+// Acked counts the writes acked as stored or duplicate.
+func (s *SW) Acked() uint64 { return s.nAcked.Load() }
 
 // tailSource exposes a transfer's payload (after the 8-byte event id)
 // to the writer's gather copy, so the SGL chain lands in the arena with
@@ -165,8 +164,6 @@ func (s *SW) onWrite(t *chain.Transfer) error {
 	}
 	if status == AckStored || status == AckDup {
 		s.nAcked.Add(1)
-	} else {
-		s.nRefused.Add(1)
 	}
 	return s.ack(ctx, t.Initiator, WriteAck{Event: event, Status: status})
 }

@@ -68,8 +68,8 @@ func TestWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Torn() != 0 {
-		t.Fatalf("clean close left %d torn bytes", r.Torn())
+	if r.torn != 0 {
+		t.Fatalf("clean close left %d torn bytes", r.torn)
 	}
 	if r.Len() != n {
 		t.Fatalf("reader sees %d records, want %d", r.Len(), n)
@@ -420,8 +420,8 @@ func TestRecoveryTornSuffixes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r2.Close()
-			if r2.Torn() != 0 || uint64(r2.Len()) != tc.recovered+1 {
-				t.Fatalf("after close: %d records, %d torn bytes", r2.Len(), r2.Torn())
+			if r2.torn != 0 || uint64(r2.Len()) != tc.recovered+1 {
+				t.Fatalf("after close: %d records, %d torn bytes", r2.Len(), r2.torn)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -63,16 +62,6 @@ func New(out io.Writer) *Interp {
 
 // Register adds or replaces a command.
 func (in *Interp) Register(name string, cmd Command) { in.commands[name] = cmd }
-
-// Commands returns the registered command names, sorted.
-func (in *Interp) Commands() []string {
-	out := make([]string, 0, len(in.commands))
-	for name := range in.commands {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // frame returns the current variable scope.
 func (in *Interp) frame() map[string]string { return in.frames[len(in.frames)-1] }

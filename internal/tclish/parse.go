@@ -208,39 +208,126 @@ func (p *parser) readBare() string {
 	return b.String()
 }
 
-// SplitList splits a Tcl list into elements: whitespace separated, with
-// braces and quotes grouping.  Used by foreach, proc parameters and the
-// cluster commands.
+// SplitList splits a Tcl list into elements.  List syntax is not command
+// syntax: elements are separated by whitespace, newlines included; braces
+// and double quotes group; backslash sequences are resolved outside
+// braces; and ';', '[', '$' and '#' are ordinary characters — a list has
+// no command separators, so `llength {a;b}` is 1.  Used by foreach,
+// lindex, llength, proc parameters and the cluster commands.
 func SplitList(list string) ([]string, error) {
 	p := &parser{src: list}
 	var out []string
 	for {
-		p.skipBlank()
-		for !p.eof() && (p.peek() == '\n') {
+		for !p.eof() && isListSpace(p.peek()) {
 			p.pos++
-			p.skipBlank()
 		}
 		if p.eof() {
 			return out, nil
 		}
-		w, err := p.nextWord()
+		start := p.pos
+		elem, err := p.listElement()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, w.text)
+		if p.pos == start {
+			// Every element consumes input; anything else would loop
+			// forever appending empty elements.
+			return nil, fmt.Errorf("tclish: list element at offset %d consumed no input", start)
+		}
+		out = append(out, elem)
 	}
 }
 
+func isListSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
+}
+
+// listElement reads one list element: a braced element verbatim, or a
+// quoted or bare one with its backslash sequences resolved.
+func (p *parser) listElement() (string, error) {
+	if p.peek() == '{' {
+		return p.readBraced()
+	}
+	quoted := p.peek() == '"'
+	start := p.pos
+	if quoted {
+		p.pos++
+	}
+	var b strings.Builder
+	for !p.eof() {
+		c := p.peek()
+		switch {
+		case quoted && c == '"':
+			p.pos++
+			return b.String(), nil
+		case !quoted && isListSpace(c):
+			return b.String(), nil
+		case c == '\\' && p.pos+1 < len(p.src):
+			b.WriteByte(unescape(p.src[p.pos+1]))
+			p.pos += 2
+			continue
+		}
+		b.WriteByte(c)
+		p.pos++
+	}
+	if quoted {
+		return "", fmt.Errorf("%w: quote opened at offset %d", ErrUnbalanced, start)
+	}
+	return b.String(), nil
+}
+
 // QuoteListElement renders one element so SplitList reads it back as a
-// single element.
+// single element.  Like Tcl, it braces an element that needs quoting when
+// the braces inside it balance, and backslash-escapes it otherwise.
 func QuoteListElement(s string) string {
 	if s == "" {
 		return "{}"
 	}
-	if strings.ContainsAny(s, " \t\r\n;{}\"[]$\\") {
+	if !strings.ContainsAny(s, " \t\r\n\v\f;{}\"[]$\\") {
+		return s
+	}
+	if braceable(s) {
 		return "{" + s + "}"
 	}
-	return s
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		case '\r':
+			b.WriteString(`\r`)
+		case ' ', '\v', '\f', ';', '{', '}', '"', '[', ']', '$', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
+// braceable reports whether readBraced reads "{" + s + "}" back as s: the
+// braces in s balance and no backslash escapes the closing brace.
+func braceable(s string) bool {
+	depth := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+			if i == len(s) {
+				return false
+			}
+		case '{':
+			depth++
+		case '}':
+			if depth--; depth < 0 {
+				return false
+			}
+		}
+	}
+	return depth == 0
 }
 
 // JoinList renders elements as a Tcl list.

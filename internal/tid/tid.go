@@ -245,18 +245,3 @@ func (t *Table) Reroute(node i2o.NodeID, route string) int {
 	}
 	return n
 }
-
-// Proxies returns a snapshot of proxy rows routed over the named transport,
-// used when a route goes down and its proxies must be invalidated.
-func (t *Table) Proxies(route string) []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []Entry
-	for _, e := range t.entries {
-		if e.Kind == Proxy && e.Route == route {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TID < out[j].TID })
-	return out
-}

@@ -23,10 +23,6 @@
 // timing.  A single shared generator — the original design — made every
 // verdict depend on the global arrival order and turned any multi-worker
 // run into a new schedule.
-//
-// Next() remains for callers that genuinely want one global sequence (and
-// for single-peer tests, where the two are identical); it draws from its
-// own stream and never perturbs the per-peer ones.
 package faults
 
 import (
@@ -139,55 +135,27 @@ type stream struct {
 // different peers come from independent streams, the schedule seen by any
 // one peer does not depend on the interleaving.
 type Injector struct {
-	mu     sync.Mutex
-	seed   int64
-	rules  []Rule
-	global *stream
-	peers  map[uint64]*stream
+	mu    sync.Mutex
+	seed  int64
+	rules []Rule
+	peers map[uint64]*stream
 }
 
 // New returns an injector whose streams derive their generators from seed.
 func New(seed int64) *Injector {
-	return &Injector{
-		seed:   seed,
-		global: &stream{rng: rand.New(rand.NewSource(seed))},
-		peers:  make(map[uint64]*stream),
-	}
+	return &Injector{seed: seed, peers: make(map[uint64]*stream)}
 }
-
-// Seed returns the seed the injector was built from.
-func (in *Injector) Seed() int64 { return in.seed }
 
 // Add appends a rule and returns the injector for chaining.
 func (in *Injector) Add(r Rule) *Injector {
 	in.mu.Lock()
 	in.rules = append(in.rules, r)
-	in.global.applied = append(in.global.applied, 0)
 	for _, s := range in.peers {
 		s.applied = append(s.applied, 0)
 	}
 	in.mu.Unlock()
 	return in
 }
-
-// DropNth drops every nth frame.
-func (in *Injector) DropNth(n uint64) *Injector { return in.Add(Rule{Op: Drop, Nth: n}) }
-
-// DropAfter drops every frame past the first n (a peer that goes silent).
-func (in *Injector) DropAfter(n uint64) *Injector {
-	return in.Add(Rule{Op: Drop, Nth: 1, After: n})
-}
-
-// ErrorNth refuses every nth frame with an error wrapping ErrInjected.
-func (in *Injector) ErrorNth(n uint64) *Injector { return in.Add(Rule{Op: Error, Nth: n}) }
-
-// DelayNth holds every nth frame for d.
-func (in *Injector) DelayNth(n uint64, d time.Duration) *Injector {
-	return in.Add(Rule{Op: Delay, Nth: n, Delay: d})
-}
-
-// DupNth duplicates every nth frame.
-func (in *Injector) DupNth(n uint64) *Injector { return in.Add(Rule{Op: Duplicate, Nth: n}) }
 
 // splitmix64 is the seed-mixing finalizer (Steele et al.), used to derive a
 // well-separated per-peer generator seed from (injector seed, peer id).
@@ -239,15 +207,6 @@ func (in *Injector) step(s *stream) Action {
 	return Action{Op: Pass}
 }
 
-// Next assigns the next global sequence number and returns the action for
-// it.  Use NextFor from transports; Next exists for single-sequence tests
-// and scripted global schedules.
-func (in *Injector) Next() Action {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.step(in.global)
-}
-
 // NextFor assigns the next sequence number of the peer's stream and returns
 // the action for it.  Streams are created on first use, independently
 // seeded from (injector seed, peer), so the schedule for one peer is a pure
@@ -256,54 +215,6 @@ func (in *Injector) NextFor(peer uint64) Action {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.step(in.peerStream(peer))
-}
-
-// Frames reports how many frames the injector has seen, over all streams.
-func (in *Injector) Frames() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := in.global.seq
-	for _, s := range in.peers {
-		n += s.seq
-	}
-	return n
-}
-
-// FramesFor reports how many frames the peer's stream has seen.
-func (in *Injector) FramesFor(peer uint64) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if s := in.peers[peer]; s != nil {
-		return s.seq
-	}
-	return 0
-}
-
-// Applied reports how many frames each rule has hit, in rule order, summed
-// over all streams.
-func (in *Injector) Applied() []uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]uint64, len(in.rules))
-	copy(out, in.global.applied)
-	for _, s := range in.peers {
-		for i, n := range s.applied {
-			out[i] += n
-		}
-	}
-	return out
-}
-
-// AppliedFor reports how many frames each rule has hit on the peer's
-// stream, in rule order.
-func (in *Injector) AppliedFor(peer uint64) []uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]uint64, len(in.rules))
-	if s := in.peers[peer]; s != nil {
-		copy(out, s.applied)
-	}
-	return out
 }
 
 // Hook is the send-path fault site of a peer transport.  Every transport

@@ -11,10 +11,10 @@ import (
 )
 
 func TestNthSchedule(t *testing.T) {
-	in := New(1).DropNth(3)
+	in := New(1).Add(Rule{Op: Drop, Nth: 3})
 	var got []Op
 	for i := 0; i < 9; i++ {
-		got = append(got, in.Next().Op)
+		got = append(got, in.NextFor(1).Op)
 	}
 	want := []Op{Pass, Pass, Drop, Pass, Pass, Drop, Pass, Pass, Drop}
 	for i := range want {
@@ -22,19 +22,13 @@ func TestNthSchedule(t *testing.T) {
 			t.Fatalf("frame %d: got %v, want %v (full: %v)", i+1, got[i], want[i], got)
 		}
 	}
-	if in.Frames() != 9 {
-		t.Fatalf("Frames() = %d, want 9", in.Frames())
-	}
-	if n := in.Applied()[0]; n != 3 {
-		t.Fatalf("Applied() = %d, want 3", n)
-	}
 }
 
 func TestAfterAndLimit(t *testing.T) {
 	in := New(1).Add(Rule{Op: Error, Nth: 1, After: 2, Limit: 2})
 	var errs int
 	for i := 0; i < 6; i++ {
-		act := in.Next()
+		act := in.NextFor(1)
 		if act.Op == Error {
 			errs++
 			if i < 2 {
@@ -51,9 +45,9 @@ func TestAfterAndLimit(t *testing.T) {
 }
 
 func TestDropAfterGoesSilent(t *testing.T) {
-	in := New(1).DropAfter(4)
+	in := New(1).Add(Rule{Op: Drop, Nth: 1, After: 4})
 	for i := 1; i <= 10; i++ {
-		act := in.Next()
+		act := in.NextFor(1)
 		if i <= 4 && act.Op != Pass {
 			t.Fatalf("frame %d faulted during warm-up: %v", i, act.Op)
 		}
@@ -68,7 +62,7 @@ func TestSeededProbabilityIsDeterministic(t *testing.T) {
 		in := New(42).Add(Rule{Op: Drop, Prob: 0.5})
 		var out []Op
 		for i := 0; i < 32; i++ {
-			out = append(out, in.Next().Op)
+			out = append(out, in.NextFor(1).Op)
 		}
 		return out
 	}
@@ -91,8 +85,8 @@ func TestFirstMatchWinsAndDelayCarries(t *testing.T) {
 	in := New(1).
 		Add(Rule{Op: Delay, Nth: 2, Delay: 5 * time.Millisecond}).
 		Add(Rule{Op: Drop, Nth: 2})
-	in.Next() // frame 1: pass
-	act := in.Next()
+	in.NextFor(1) // frame 1: pass
+	act := in.NextFor(1)
 	if act.Op != Delay || act.Delay != 5*time.Millisecond {
 		t.Fatalf("frame 2: got %v/%v, want first-listed Delay rule", act.Op, act.Delay)
 	}
@@ -104,7 +98,7 @@ func TestPerPeerStreamsIndependentOfInterleaving(t *testing.T) {
 	const frames = 64
 	// Sequential: drain peer 1 fully, then peer 2.
 	seq := func() (a, b []Op) {
-		in := New(7).Add(Rule{Op: Drop, Prob: 0.3}).DupNth(5)
+		in := New(7).Add(Rule{Op: Drop, Prob: 0.3}).Add(Rule{Op: Duplicate, Nth: 5})
 		for i := 0; i < frames; i++ {
 			a = append(a, in.NextFor(1).Op)
 		}
@@ -113,12 +107,12 @@ func TestPerPeerStreamsIndependentOfInterleaving(t *testing.T) {
 		}
 		return
 	}
-	// Interleaved: alternate peers, with global Next() traffic mixed in.
+	// Interleaved: alternate peers, with traffic to a third peer mixed in.
 	inter := func() (a, b []Op) {
-		in := New(7).Add(Rule{Op: Drop, Prob: 0.3}).DupNth(5)
+		in := New(7).Add(Rule{Op: Drop, Prob: 0.3}).Add(Rule{Op: Duplicate, Nth: 5})
 		for i := 0; i < frames; i++ {
 			b = append(b, in.NextFor(2).Op)
-			in.Next() // unrelated global traffic must not perturb peer streams
+			in.NextFor(3) // unrelated traffic must not perturb peer streams
 			a = append(a, in.NextFor(1).Op)
 		}
 		return
@@ -193,18 +187,6 @@ func TestLimitIsPerStream(t *testing.T) {
 		if drops != 2 {
 			t.Fatalf("peer %d: rule hit %d frames, want per-stream limit 2", peer, drops)
 		}
-		if got := in.AppliedFor(peer)[0]; got != 2 {
-			t.Fatalf("peer %d: AppliedFor = %d, want 2", peer, got)
-		}
-	}
-	if got := in.Applied()[0]; got != 4 {
-		t.Fatalf("Applied() total = %d, want 4 (2 per stream)", got)
-	}
-	if got := in.FramesFor(10); got != 5 {
-		t.Fatalf("FramesFor(10) = %d, want 5", got)
-	}
-	if got := in.Frames(); got != 10 {
-		t.Fatalf("Frames() = %d, want 10", got)
 	}
 }
 
@@ -214,28 +196,22 @@ func TestAddRuleAfterStreamCreated(t *testing.T) {
 	if act := in.NextFor(3); act.Op != Pass {
 		t.Fatalf("no rules: got %v, want pass", act.Op)
 	}
-	in.DropNth(1)
+	in.Add(Rule{Op: Drop, Nth: 1})
 	if act := in.NextFor(3); act.Op != Drop {
-		t.Fatalf("after DropNth(1): got %v, want drop", act.Op)
+		t.Fatalf("after adding a drop-every-frame rule: got %v, want drop", act.Op)
 	}
 }
 
 func TestDuplicateOp(t *testing.T) {
-	in := New(1).DupNth(2)
-	if act := in.Next(); act.Op != Pass {
+	in := New(1).Add(Rule{Op: Duplicate, Nth: 2})
+	if act := in.NextFor(1); act.Op != Pass {
 		t.Fatalf("frame 1: got %v, want pass", act.Op)
 	}
-	if act := in.Next(); act.Op != Duplicate {
+	if act := in.NextFor(1); act.Op != Duplicate {
 		t.Fatalf("frame 2: got %v, want dup", act.Op)
 	}
 	if Duplicate.String() != "dup" {
 		t.Fatalf("Duplicate.String() = %q", Duplicate.String())
-	}
-}
-
-func TestSeedAccessor(t *testing.T) {
-	if got := New(1234).Seed(); got != 1234 {
-		t.Fatalf("Seed() = %d, want 1234", got)
 	}
 }
 

@@ -177,13 +177,6 @@ type Recv struct {
 	Token any
 }
 
-// Stats counts NIC activity.
-type Stats struct {
-	Sent     uint64
-	Received uint64
-	Dropped  uint64 // frames lost to unknown ports or closed receivers
-}
-
 // NIC is one simulated Myrinet interface.
 type NIC struct {
 	fabric   *Fabric
@@ -195,24 +188,12 @@ type NIC struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 	closed   atomic.Bool
-
-	nSent atomic.Uint64
-	nRecv atomic.Uint64
-	nDrop atomic.Uint64
 }
-
-// Port returns the NIC's fabric address.
-func (n *NIC) Port() Port { return n.port }
 
 // RingDepth returns the number of send descriptors currently queued —
 // outstanding send tokens, in GM terms.  The peer transport exports it as
 // the <name>.ring.depth gauge.
 func (n *NIC) RingDepth() int { return len(n.sendRing) }
-
-// Stats returns a snapshot of the NIC's counters.
-func (n *NIC) Stats() Stats {
-	return Stats{Sent: n.nSent.Load(), Received: n.nRecv.Load(), Dropped: n.nDrop.Load()}
-}
 
 func (n *NIC) takeWire() []byte {
 	select {
@@ -325,15 +306,13 @@ func (n *NIC) transmit(d sendDesc) {
 	defer n.recycleWire(d.full)
 	dst := n.fabric.lookup(d.dst)
 	if dst == nil {
-		n.nDrop.Add(1)
-		return
+		return // unknown port: the frame is lost
 	}
 	busyWait(n.fabric.wireDelay(len(d.data)))
 	var p providedBuf
 	select {
 	case p = <-dst.provided:
 	case <-dst.done:
-		n.nDrop.Add(1)
 		return
 	case <-n.done:
 		return
@@ -342,10 +321,7 @@ func (n *NIC) transmit(d sendDesc) {
 	r := Recv{Src: n.port, Buf: p.buf, N: c, Token: p.token}
 	select {
 	case dst.recvRing <- r:
-		n.nSent.Add(1)
-		dst.nRecv.Add(1)
 	case <-dst.done:
-		n.nDrop.Add(1)
 	case <-n.done:
 	}
 }

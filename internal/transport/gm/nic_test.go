@@ -117,18 +117,19 @@ func TestOversizeSend(t *testing.T) {
 }
 
 func TestUnknownPortDrops(t *testing.T) {
-	a, _ := openPair(t)
+	a, b := openPair(t)
+	provide(t, b, 1, 16)
 	if err := a.Send(99, []byte("void")); err != nil {
 		t.Fatal(err) // posting succeeds; the LANai drops it
 	}
-	deadline := time.After(time.Second)
-	for a.Stats().Dropped == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("drop never counted")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	// The LANai serves its send ring in order: the next frame arrives in
+	// b's only buffer, so the void one was dropped, not delivered.
+	if err := a.Send(2, []byte("real")); err != nil {
+		t.Fatal(err)
+	}
+	r, ok := b.Receive()
+	if !ok || string(r.Buf[:r.N]) != "real" {
+		t.Fatalf("after a drop: got %q ok=%v, want \"real\"", r.Buf[:r.N], ok)
 	}
 }
 
@@ -251,9 +252,6 @@ func TestPingPongRoundTrip(t *testing.T) {
 		if err := a.Provide(r.Buf, r.Token); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if a.Stats().Sent != 100 || b.Stats().Received != 100 {
-		t.Fatalf("stats a=%+v b=%+v", a.Stats(), b.Stats())
 	}
 }
 

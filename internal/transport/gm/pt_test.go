@@ -107,8 +107,10 @@ func testRoundTrips(t *testing.T, mode pta.Mode) {
 		}
 		rep.Release()
 	}
-	if a.agent.Stats().Sent == 0 || b.agent.Stats().Received == 0 {
-		t.Fatalf("agent stats a=%+v b=%+v", a.agent.Stats(), b.agent.Stats())
+	sent := a.exec.Metrics().Counter("pta.sent").Value()
+	recv := b.exec.Metrics().Counter("pta.recv").Value()
+	if sent == 0 || recv == 0 {
+		t.Fatalf("agent counters: a pta.sent=%d, b pta.recv=%d", sent, recv)
 	}
 }
 

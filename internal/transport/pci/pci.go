@@ -140,15 +140,6 @@ var _ pta.PeerTransport = (*Endpoint)(nil)
 // Name implements pta.PeerTransport.
 func (e *Endpoint) Name() string { return PTName }
 
-// Node returns the endpoint's identity.
-func (e *Endpoint) Node() i2o.NodeID { return e.node }
-
-// Depth returns the hardware FIFO depth.
-func (e *Endpoint) Depth() int { return cap(e.fifo) }
-
-// Pending returns the inbound FIFO population.
-func (e *Endpoint) Pending() int { return len(e.fifo) }
-
 // Send implements pta.PeerTransport: the frame pointer is posted into the
 // destination's inbound FIFO, blocking while it is full.
 func (e *Endpoint) Send(dst i2o.NodeID, m *i2o.Message) error {
@@ -242,12 +233,6 @@ func (e *Endpoint) Start(fn pta.Deliver) error {
 		}
 	}()
 	return nil
-}
-
-// Stats reports frames sent and received.
-func (e *Endpoint) Stats() (sent, received uint64) {
-	s, r, _ := e.counters()
-	return s.Value(), r.Value()
 }
 
 // Stop implements pta.PeerTransport: detaches from the segment and

@@ -65,9 +65,6 @@ func New[T any](depth int) *Queue[T] {
 	}
 }
 
-// Depth returns the ring capacity.
-func (q *Queue[T]) Depth() int { return q.depth }
-
 // Len returns the number of queued descriptors.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()

@@ -156,9 +156,6 @@ func (t *Transport) Name() string { return t.name }
 // Node returns the attached node identity.
 func (t *Transport) Node() i2o.NodeID { return t.node }
 
-// Dir returns the ring directory.
-func (t *Transport) Dir() string { return t.dir }
-
 // SetFaults installs a fault injector on the send path; nil removes it.
 func (t *Transport) SetFaults(in *faults.Injector) { t.flt.Set(in) }
 

@@ -158,7 +158,7 @@ func TestSGLPayloadOverTCP(t *testing.T) {
 // pta.ErrTransient (the retry policy re-attempts instead of failing).
 func TestRingBackpressureSignalsTransient(t *testing.T) {
 	send, _ := rawPair(t, Config{RingDepth: 2}, nil)
-	send.SetWireFaults(faults.New(1).DelayNth(1, 20*time.Millisecond))
+	send.SetWireFaults(faults.New(1).Add(faults.Rule{Op: faults.Delay, Nth: 1, Delay: 20 * time.Millisecond}))
 
 	var full error
 	for i := 0; i < 200 && full == nil; i++ {
@@ -601,7 +601,7 @@ func TestBulkLaneRedialResends(t *testing.T) {
 // the frames cannot drain before Stop.
 func TestStopReleasesQueuedFrames(t *testing.T) {
 	send, _ := rawPair(t, Config{RingDepth: 8}, nil)
-	send.SetWireFaults(faults.New(1).DelayNth(1, 50*time.Millisecond))
+	send.SetWireFaults(faults.New(1).Add(faults.Rule{Op: faults.Delay, Nth: 1, Delay: 50 * time.Millisecond}))
 	alloc := pool.NewTable(0)
 	for i := 0; i < 4; i++ {
 		b, err := alloc.Alloc(64)

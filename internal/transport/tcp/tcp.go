@@ -439,9 +439,6 @@ func (t *Transport) SetThreshold(n int) {
 	t.autoTune.Store(true)
 }
 
-// Threshold reports the live eager/rendezvous threshold in wire bytes.
-func (t *Transport) Threshold() int { return int(t.thr.Load()) }
-
 // SetTunable implements pta.Tunable: the remote-actuation path for the
 // transport's runtime knobs.  "threshold" maps to SetThreshold.
 func (t *Transport) SetTunable(key string, value int64) error {
@@ -1311,11 +1308,6 @@ func (t *Transport) readLoop(pc *peerConn, p *peer) {
 			return
 		}
 	}
-}
-
-// Stats reports frames sent and received.
-func (t *Transport) Stats() (sent, received uint64) {
-	return t.nSent.Value(), t.nRecv.Value()
 }
 
 // Stop implements pta.PeerTransport.  Frames still queued on send rings

@@ -28,7 +28,7 @@ func buildNode(t testing.TB, id i2o.NodeID) *tcpNode {
 		RequestTimeout: 3 * time.Second,
 		Logf:           func(string, ...any) {},
 	})
-	tr, err := New(id, e.Allocator(), Config{Listen: "127.0.0.1:0"})
+	tr, err := New(id, e.Allocator(), Config{Listen: "127.0.0.1:0", Metrics: e.Metrics()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestRoundTripOverRealSockets(t *testing.T) {
 		}
 		rep.Release()
 	}
-	sent, _ := a.tr.Stats()
-	_, recv := b.tr.Stats()
+	sent := a.exec.Metrics().Counter(PTName + ".sent").Value()
+	recv := b.exec.Metrics().Counter(PTName + ".recv").Value()
 	if sent == 0 || recv == 0 {
 		t.Fatal("stats not counted")
 	}
